@@ -1,33 +1,27 @@
-//! Batched admission throughput: the pre-redesign establishment path —
-//! every request taking its own availability-collection round and the
-//! whole fleet funnelling through one global mutex — against the
-//! [`AdmissionQueue`] pipeline, which plans a whole batch against one
-//! epoch-stamped snapshot on a pool of plan contexts and commits
-//! sequentially.
+//! Batched admission throughput: ns/session of the [`AdmissionQueue`]
+//! pipeline, which plans a whole batch against one epoch-stamped
+//! snapshot and commits sequentially, plus its per-phase split.
 //!
 //! The world is deliberately broker-heavy (4 hosts, `EXTRA_PER_HOST`
 //! background resources each, as a deployed QoSProxy tracks every host
 //! CPU and link, not just the ones one session touches), so phase-1
 //! collection costs what it costs in the paper's environment. The
-//! measured ns/session for the mutex baseline (1 and 4 driver threads)
-//! and the pipeline (1/2/4/8 workers) land in `BENCH_admission.json`
-//! at the workspace root in `--bench` mode; `--quick` shortens the
-//! measurement window (CI smoke).
+//! measured figures land in `BENCH_admission.json` at the workspace
+//! root in `--bench` mode, beside a frozen [`History`] of the designs
+//! the pipeline replaced; `--quick` shortens the measurement window (CI
+//! smoke).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use qosr_bench::synth::synthetic_chain;
 use qosr_broker::{
-    AdmissionConfig, AdmissionQueue, BrokerRegistry, Coordinator, EstablishedSession, LocalBroker,
-    LocalBrokerConfig, QosProxy, SessionRequest, SimTime,
+    AdmissionConfig, AdmissionQueue, BrokerRegistry, Coordinator, LocalBroker, LocalBrokerConfig,
+    QosProxy, SessionRequest, SimTime,
 };
 use qosr_model::{ResourceKind, SessionInstance};
 use qosr_obs::Phase;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::Serialize;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Chain shape: components × levels per component.
@@ -39,8 +33,6 @@ const HOSTS: usize = 4;
 /// Background resources per host (host CPUs, links, devices the proxy
 /// tracks but this service does not touch).
 const EXTRA_PER_HOST: usize = 30;
-/// Worker counts measured for the pipeline.
-const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 struct World {
     coordinator: Coordinator,
@@ -93,52 +85,7 @@ fn requests(world: &World) -> Vec<SessionRequest> {
         .collect()
 }
 
-fn terminate_all(world: &World, held: &mut Vec<EstablishedSession>, now: SimTime) {
-    for est in held.drain(..) {
-        world.coordinator.terminate(&est, now);
-    }
-}
-
-/// One round of the pre-redesign design: `threads` drivers share a
-/// single global mutex around establishment (the old coordinator held
-/// one `Mutex<PlanCtx>` and one `Mutex<MessageStats>`, serialising the
-/// whole path), and every request runs its own phase-1 collect.
-fn mutex_round(world: &World, reqs: &[SessionRequest], threads: usize, now: SimTime) {
-    let gate = Mutex::new(());
-    let cursor = AtomicUsize::new(0);
-    let mut held = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let gate = &gate;
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(t as u64);
-                    let mut established = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= reqs.len() {
-                            break established;
-                        }
-                        let guard = gate.lock().unwrap();
-                        let outcome = world.coordinator.establish_request(&reqs[i], now, &mut rng);
-                        drop(guard);
-                        if let Some(est) = outcome.into_session() {
-                            established.push(est);
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("driver thread panicked"))
-            .collect::<Vec<_>>()
-    });
-    assert_eq!(held.len(), reqs.len(), "unbounded capacity must admit all");
-    terminate_all(world, &mut held, now);
-}
-
-/// One round through the admission pipeline at `workers` planners.
+/// One round through the admission pipeline.
 fn pipeline_round(queue: &AdmissionQueue<'_>, reqs: &[SessionRequest], now: SimTime) {
     let world = queue.coordinator();
     let mut held: Vec<_> = queue
@@ -170,6 +117,7 @@ fn time_ns(mut f: impl FnMut(), target: Duration) -> f64 {
     }
 }
 
+/// One row of [`History::pipeline_by_workers`].
 #[derive(Serialize)]
 struct WorkerResult {
     workers: usize,
@@ -177,6 +125,49 @@ struct WorkerResult {
     /// Throughput multiple over the 4-thread single-mutex baseline.
     speedup_vs_mutex_4thread: f64,
 }
+
+/// Figures this bench measured for designs that no longer exist, on the
+/// same world and batch, written into every report so the comparison
+/// survives the code: the single-mutex coordinator (every request its
+/// own collect round, one global lock around establishment) and the
+/// per-round planning worker pool, which sequential planning beat at
+/// every worker count. Not re-measured.
+#[derive(Serialize)]
+struct History {
+    note: &'static str,
+    mutex_1thread_ns_per_session: f64,
+    mutex_4thread_ns_per_session: f64,
+    pipeline_by_workers: [WorkerResult; 4],
+}
+
+const HISTORY: History = History {
+    note: "single-mutex coordinator and per-round planning worker pool, as last \
+           committed before both were deleted; not re-measured",
+    mutex_1thread_ns_per_session: 55978.32368259804,
+    mutex_4thread_ns_per_session: 53773.40489783654,
+    pipeline_by_workers: [
+        WorkerResult {
+            workers: 1,
+            ns_per_session: 2556.625855034722,
+            speedup_vs_mutex_4thread: 21.032958260960022,
+        },
+        WorkerResult {
+            workers: 2,
+            ns_per_session: 3064.994661282138,
+            speedup_vs_mutex_4thread: 17.544371472197682,
+        },
+        WorkerResult {
+            workers: 4,
+            ns_per_session: 3301.0908667214358,
+            speedup_vs_mutex_4thread: 16.28958640306772,
+        },
+        WorkerResult {
+            workers: 8,
+            ns_per_session: 3828.17450438862,
+            speedup_vs_mutex_4thread: 14.046748609863709,
+        },
+    ],
+};
 
 /// One pipeline phase's wall-clock profile over the instrumented pass.
 #[derive(Serialize)]
@@ -198,15 +189,12 @@ struct BenchReport {
     batch: usize,
     hosts: usize,
     world_resources: usize,
-    mutex_1thread_ns_per_session: f64,
-    mutex_4thread_ns_per_session: f64,
-    pipeline: Vec<WorkerResult>,
-    /// `mutex_4thread / pipeline[workers=4]` — the acceptance figure.
-    speedup_at_4_workers: f64,
-    /// Collect/plan/commit/replan split of the pipeline at 4 workers,
-    /// measured on a separate pass with the phase timers enabled (the
-    /// headline numbers above stay instrumentation-free).
+    pipeline_ns_per_session: f64,
+    /// Collect/plan/commit/replan split of the pipeline, measured on a
+    /// separate pass with the phase timers enabled (the headline number
+    /// above stays instrumentation-free).
     phase_breakdown: Vec<PhaseBreakdown>,
+    history: History,
 }
 
 fn bench_admission(c: &mut Criterion) {
@@ -226,24 +214,19 @@ fn bench_admission(c: &mut Criterion) {
         SimTime::new(t)
     };
 
-    // Criterion display: per-round cost of each path.
+    let queue = AdmissionQueue::new(
+        &world.coordinator,
+        AdmissionConfig {
+            seed: 0x5eed,
+            ..AdmissionConfig::default()
+        },
+    );
+
+    // Criterion display: per-round cost.
     let mut group = c.benchmark_group("batched_admission");
-    group.bench_function(BenchmarkId::new("mutex", "4thread"), |b| {
-        b.iter(|| mutex_round(&world, &reqs, 4, black_box(tick())))
+    group.bench_function("pipeline", |b| {
+        b.iter(|| pipeline_round(&queue, &reqs, black_box(tick())))
     });
-    for &w in &WORKERS {
-        let queue = AdmissionQueue::new(
-            &world.coordinator,
-            AdmissionConfig {
-                workers: w,
-                seed: 0x5eed,
-                ..AdmissionConfig::default()
-            },
-        );
-        group.bench_function(BenchmarkId::new("pipeline", format!("{w}workers")), |b| {
-            b.iter(|| pipeline_round(&queue, &reqs, black_box(tick())))
-        });
-    }
     group.finish();
 
     if !bench_mode {
@@ -251,49 +234,15 @@ fn bench_admission(c: &mut Criterion) {
     }
 
     // Manual measurement for the committed report.
-    let per_session = |round_ns: f64| round_ns / BATCH as f64;
-    let mutex_1 = per_session(time_ns(|| mutex_round(&world, &reqs, 1, tick()), target));
-    let mutex_4 = per_session(time_ns(|| mutex_round(&world, &reqs, 4, tick()), target));
-    println!("mutex baseline: 1 thread {mutex_1:.0} ns/session, 4 threads {mutex_4:.0} ns/session");
-
-    let mut pipeline = Vec::new();
-    for &w in &WORKERS {
-        let queue = AdmissionQueue::new(
-            &world.coordinator,
-            AdmissionConfig {
-                workers: w,
-                seed: 0x5eed,
-                ..AdmissionConfig::default()
-            },
-        );
-        let ns = per_session(time_ns(|| pipeline_round(&queue, &reqs, tick()), target));
-        let speedup = mutex_4 / ns;
-        println!("pipeline {w} workers: {ns:.0} ns/session, {speedup:.2}x vs mutex@4");
-        pipeline.push(WorkerResult {
-            workers: w,
-            ns_per_session: ns,
-            speedup_vs_mutex_4thread: speedup,
-        });
-    }
-    let speedup_at_4_workers = pipeline
-        .iter()
-        .find(|r| r.workers == 4)
-        .map(|r| r.speedup_vs_mutex_4thread)
-        .unwrap_or(f64::NAN);
+    let pipeline_ns_per_session =
+        time_ns(|| pipeline_round(&queue, &reqs, tick()), target) / BATCH as f64;
+    println!("pipeline: {pipeline_ns_per_session:.0} ns/session");
 
     // Per-phase breakdown on a separate instrumented pass (the live
     // span timers are disabled during the headline measurements, so
     // those stay free of measurement overhead).
     let timers = world.coordinator.phase_timers();
     timers.set_enabled(true);
-    let queue = AdmissionQueue::new(
-        &world.coordinator,
-        AdmissionConfig {
-            workers: 4,
-            seed: 0x5eed,
-            ..AdmissionConfig::default()
-        },
-    );
     let rounds: usize = if quick { 20 } else { 200 };
     for _ in 0..rounds {
         pipeline_round(&queue, &reqs, tick());
@@ -328,17 +277,15 @@ fn bench_admission(c: &mut Criterion) {
         batch: BATCH,
         hosts: HOSTS,
         world_resources: world.resources,
-        mutex_1thread_ns_per_session: mutex_1,
-        mutex_4thread_ns_per_session: mutex_4,
-        pipeline,
-        speedup_at_4_workers,
+        pipeline_ns_per_session,
         phase_breakdown,
+        history: HISTORY,
     };
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_admission.json");
     let file = std::fs::File::create(path).expect("create BENCH_admission.json");
     serde_json::to_writer_pretty(std::io::BufWriter::new(file), &report)
         .expect("serialize bench report");
-    println!("speedup at 4 workers {speedup_at_4_workers:.2}x -> {path}");
+    println!("-> {path}");
 }
 
 criterion_group!(benches, bench_admission);

@@ -6,7 +6,7 @@
 //!
 //! The world, batch size, and round driver are identical to the
 //! admission bench, so the disabled-mode figure is directly comparable
-//! to `BENCH_admission.json`'s 4-worker pipeline number: disabled
+//! to `BENCH_admission.json`'s `pipeline_ns_per_session`: disabled
 //! telemetry must sit within noise of it (the zero-cost claim), and the
 //! committed `BENCH_obs.json` records the ratio so CI can hold the
 //! line. `--bench` writes the JSON; `--quick` shortens the measurement
@@ -33,8 +33,6 @@ const BATCH: usize = 128;
 const HOSTS: usize = 4;
 /// Background resources per host (as admission.rs).
 const EXTRA_PER_HOST: usize = 30;
-/// Pipeline workers: the admission bench's acceptance configuration.
-const WORKERS: usize = 4;
 /// Disabled-mode throughput must stay within this factor of the
 /// reference admission throughput. Tightened from 1.25 once the
 /// request-tracing layer landed: the disabled path is a single relaxed
@@ -142,7 +140,6 @@ fn measure_mode(enable_timers: bool, traced: bool, trace_requests: bool, target:
     let queue = AdmissionQueue::new(
         &coordinator,
         AdmissionConfig {
-            workers: WORKERS,
             seed: 0x5eed,
             ..AdmissionConfig::default()
         },
@@ -164,7 +161,6 @@ struct BenchReport {
     unit: &'static str,
     chain: String,
     batch: usize,
-    workers: usize,
     disabled_ns_per_session: f64,
     enabled_ns_per_session: f64,
     traced_ns_per_session: f64,
@@ -176,7 +172,7 @@ struct BenchReport {
     /// `request_traced / disabled` — full causal span trees recorded
     /// into the flight ring for every request.
     request_traced_overhead_ratio: f64,
-    /// The 4-worker pipeline figure from `BENCH_admission.json`, when
+    /// `pipeline_ns_per_session` from `BENCH_admission.json`, when
     /// present (the non-telemetry reference measured on that machine).
     reference_admission_ns_per_session: Option<f64>,
     /// `disabled / reference` — the zero-cost-when-disabled claim.
@@ -188,26 +184,16 @@ struct BenchReport {
 
 /// The subset of `BENCH_admission.json` the overhead comparison needs.
 #[derive(serde::Deserialize)]
-struct ReferenceWorker {
-    workers: usize,
-    ns_per_session: f64,
-}
-
-#[derive(serde::Deserialize)]
 struct ReferenceReport {
-    pipeline: Vec<ReferenceWorker>,
+    pipeline_ns_per_session: f64,
 }
 
-/// The 4-worker `ns_per_session` from the committed admission report.
+/// The pipeline's ns/session from the committed admission report.
 fn reference_throughput() -> Option<f64> {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_admission.json");
     let text = std::fs::read_to_string(path).ok()?;
     let report: ReferenceReport = serde_json::from_str(&text).ok()?;
-    report
-        .pipeline
-        .iter()
-        .find(|r| r.workers == WORKERS)
-        .map(|r| r.ns_per_session)
+    Some(report.pipeline_ns_per_session)
 }
 
 fn bench_obs_overhead(c: &mut Criterion) {
@@ -234,7 +220,6 @@ fn bench_obs_overhead(c: &mut Criterion) {
         let queue = AdmissionQueue::new(
             &coordinator,
             AdmissionConfig {
-                workers: WORKERS,
                 seed: 0x5eed,
                 ..AdmissionConfig::default()
             },
@@ -283,7 +268,6 @@ fn bench_obs_overhead(c: &mut Criterion) {
         unit: "ns/session",
         chain: format!("{}x{}", CHAIN.0, CHAIN.1),
         batch: BATCH,
-        workers: WORKERS,
         disabled_ns_per_session: disabled,
         enabled_ns_per_session: enabled,
         traced_ns_per_session: traced,

@@ -32,17 +32,12 @@ const SECS: f64 = 5.0;
 /// extra connection adds four threads (client sender/reader, server
 /// reader/writer) competing with the admission thread for the core.
 const CONNECTIONS: usize = 1;
-/// Admission pipeline workers. One: `BENCH_admission.json` shows the
-/// pipeline's ns/session is lowest single-worker on this host, and the
-/// serve path's bottleneck is frame codec work, not planning.
-const WORKERS: usize = 1;
 
 #[derive(Serialize)]
 struct ServeBenchReport {
     bench: &'static str,
     unit: &'static str,
     world: &'static str,
-    admission_workers: usize,
     max_batch: usize,
     load: LoadReport,
 }
@@ -51,10 +46,7 @@ fn bench_serve(c: &mut Criterion) {
     let bench_mode = std::env::args().any(|a| a == "--bench");
     let quick = std::env::args().any(|a| a == "--quick");
 
-    let opts = ServeOptions {
-        workers: WORKERS,
-        ..ServeOptions::default()
-    };
+    let opts = ServeOptions::default();
     let server = start(&opts).expect("start serve on 127.0.0.1:0");
     let addr = server.addr();
 
@@ -134,7 +126,6 @@ fn bench_serve(c: &mut Criterion) {
         bench: "serve",
         unit: "requests/s",
         world: "bench",
-        admission_workers: opts.workers,
         max_batch: opts.max_batch,
         load: report,
     };

@@ -9,58 +9,60 @@
 //!
 //! 1. **Snapshot**: one epoch-stamped phase-1 collect
 //!    ([`qosr_core::EpochSnapshot`]) shared by the whole batch;
-//! 2. **Group + parallel plan**: requests with the same *shape* (same
-//!    service spec, scale and bindings, same [`qosr_core::QrgOptions`])
-//!    are grouped, and each group shares **one** [`qosr_core::PlanCtx`]
+//! 2. **Group + plan**: requests with the same *shape* (same service
+//!    spec, scale and bindings, same [`qosr_core::QrgOptions`]) are
+//!    grouped, and each group shares **one** [`qosr_core::PlanCtx`]
 //!    prepared once against the snapshot via
 //!    [`qosr_core::PlanCtx::prepare_epoch`] — a delta-aware prepare
 //!    that *repairs* the context's previous relaxation instead of
 //!    recomputing it when the availability delta since the last epoch
-//!    is small. Worker threads then run Pass II concurrently and
-//!    read-only over the shared relaxation
-//!    ([`qosr_core::PlanCtx::plan_shared`]), each with its own private
-//!    [`qosr_core::PlanWorkspace`];
-//! 3. **Sequential commit**: plans are committed in arrival order
-//!    through the ordinary two-phase reserve/commit dispatch. Before
-//!    each dispatch the round's *working view* (snapshot minus what
-//!    earlier commits in the round consumed) is checked: a plan whose
-//!    Ψ-critical resource was consumed by an earlier commit is detected
-//!    as a **commit conflict** and *replanned* against the working view
-//!    (bounded by [`AdmissionConfig::max_replans`]) rather than failed —
-//!    the batched analogue of the single-session retry-with-degradation
+//!    is small. Pass II ([`qosr_core::PlanCtx::plan`]) then runs for
+//!    every request, in arrival order on the calling thread, over its
+//!    group's relaxation. Planning is ~0.5 µs per session, so a round
+//!    spawns no threads: a per-round worker pool cost more in
+//!    spawn/join and hand-offs than it ever planned in parallel (see
+//!    the `history` block of `BENCH_admission.json`);
+//! 3. **Sequential commit**: once the whole round is planned, plans are
+//!    committed in arrival order through the ordinary two-phase
+//!    reserve/commit dispatch. Before each dispatch the round's
+//!    *working view* (snapshot minus what earlier commits in the round
+//!    consumed) is checked: a plan whose Ψ-critical resource was
+//!    consumed by an earlier commit is detected as a **commit
+//!    conflict** and *replanned* against the working view (bounded by
+//!    [`AdmissionConfig::max_replans`]) rather than failed — the
+//!    batched analogue of the single-session retry-with-degradation
 //!    path. Replans reuse the request's group context through
 //!    [`qosr_core::PlanCtx::prepare_delta`], so the debited working
 //!    view feeds back as a delta and post-conflict replans are
-//!    incremental too.
+//!    incremental too. (Planning and committing are not interleaved
+//!    per request: a replan moves the group context off the snapshot,
+//!    and later requests of the group must still plan against it.)
 //!
-//! The pipeline is deterministic regardless of worker count: each
-//! request plans with an RNG derived from `(seed, epoch, index,
-//! attempt)`, group contexts are prepared sequentially in discovery
-//! order (so delta repair/fallback counters and events never depend on
-//! worker interleaving), trace events are buffered per request and
-//! emitted in arrival order after the workers join, and commits are
-//! strictly sequential. Running the same batch with 1 or 8 workers
-//! yields byte-identical outcomes, counters and traces.
+//! A round is reproducible: each request plans with an RNG derived from
+//! `(seed, epoch, index, attempt)`, group contexts are prepared in
+//! discovery order, and each request's trace events are buffered while
+//! it plans and emitted when it commits, so a trace reads request by
+//! request in arrival order. Two queues with the same seed admit the
+//! same batches with identical outcomes, counters and traces. Several
+//! caller threads may run rounds on one queue concurrently (each round
+//! checks its contexts out of the coordinator's pool); the brokers stay
+//! the commit authority, so racing rounds never over-commit.
 
 use crate::request::{planner_label, EstablishOutcome, NearestMiss, SessionRequest, SpanCollector};
 use crate::{
     Coordinator, EstablishError, EstablishedSession, ObservationPolicy, ReserveError, SimTime,
 };
-use qosr_core::{AvailabilityView, FullReason, PlanCtx, PlanWorkspace, Planner, RepairOutcome};
+use qosr_core::{AvailabilityView, FullReason, PlanCtx, Planner, RepairOutcome};
 use qosr_obs::{Counters, EventKind, Phase, RequestTrace, SpanKind, SpanRecord, TraceEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Tuning knobs for a batched admission round.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionConfig {
-    /// Worker threads planning a round in parallel (clamped to the
-    /// batch size; `1` degenerates to sequential planning).
-    pub workers: usize,
     /// How many times one request may be replanned after a commit
     /// conflict before it is rejected.
     pub max_replans: u32,
@@ -76,7 +78,6 @@ pub struct AdmissionConfig {
 impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
-            workers: 4,
             max_replans: 2,
             seed: 0,
             observation: ObservationPolicy::Accurate,
@@ -100,22 +101,22 @@ pub struct AdmissionQueue<'a> {
     last_batch: AtomicUsize,
 }
 
-/// What one worker produced for one request: the plan (or the terminal
-/// error), plus the buffered trace events to emit in arrival order.
+/// What planning produced for one request: the plan (or the terminal
+/// error), plus the buffered trace events to emit at its commit.
 struct Planned {
     result: Result<qosr_core::ReservationPlan, EstablishError>,
     nearest: Option<NearestMiss>,
     downgraded: bool,
     events: Vec<TraceEvent>,
     /// When the request is traced: the wall-clock instant Pass II
-    /// started and how long it ran, measured on the worker so the
-    /// commit phase can attach an exact plan span without re-timing.
+    /// started and how long it ran, so the commit phase can attach an
+    /// exact plan span without re-timing.
     span: Option<(Instant, u64)>,
 }
 
 /// Mixes `(base, epoch, index, attempt)` into an independent RNG seed
-/// (splitmix64 finalizer), so replans and parallel workers never share
-/// or reorder random streams.
+/// (splitmix64 finalizer), so requests and their replans never share
+/// random streams.
 fn derive_seed(base: u64, epoch: u64, index: u64, attempt: u64) -> u64 {
     let mut z = base
         ^ epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -144,8 +145,7 @@ fn same_shape(a: &SessionRequest, b: &SessionRequest) -> bool {
 }
 
 /// Records a delta-aware prepare's outcome into the coordinator's
-/// counters. Called only from sequential sections of the round, so the
-/// counts are identical for every worker count.
+/// counters.
 fn record_delta_outcome(counters: &Counters, outcome: &RepairOutcome) {
     match outcome {
         RepairOutcome::Repaired(stats) => {
@@ -220,7 +220,7 @@ impl<'a> AdmissionQueue<'a> {
         self.last_batch.load(Ordering::Relaxed)
     }
 
-    /// Admits one batch: snapshot, parallel plan, sequential commit with
+    /// Admits one batch: snapshot, plan, sequential commit with
     /// conflict-triggered replans. Returns one [`EstablishOutcome`] per
     /// request, in arrival order. Admitted outcomes hold live
     /// reservations (terminate them via [`Coordinator::terminate`]);
@@ -280,38 +280,32 @@ impl<'a> AdmissionQueue<'a> {
             coordinator.epoch_snapshot(epoch, now, self.config.observation, &mut snap_rng);
         let collect_ns = collect_started.map(|s| s.elapsed().as_nanos() as u64);
 
-        // Phase 2a, sequential: group same-shaped requests and prepare
-        // one shared planning context per group against the snapshot.
+        // Phase 2a: group same-shaped requests and prepare one shared
+        // planning context per group against the snapshot.
         // prepare_epoch repairs the context's previous relaxation from
         // the availability delta when it can (falling back to a full
-        // rebuild otherwise); doing this here, in discovery order,
-        // keeps the repair/fallback counters and events independent of
-        // worker interleaving.
+        // rebuild otherwise).
         let t = now.value();
         let mut group_of: Vec<usize> = Vec::with_capacity(n);
         let mut reps: Vec<usize> = Vec::new();
         let mut group_ctxs = Vec::new();
-        let mut group_events: Vec<TraceEvent> = Vec::new();
         for (i, request) in requests.iter().enumerate() {
             let found = reps.iter().position(|&r| same_shape(&requests[r], request));
             let g = match found {
                 Some(g) => g,
                 None => {
-                    let span = coordinator.phase_timers().span(Phase::Plan);
+                    let span = coordinator.phase_timers().span_traced(
+                        Phase::Plan,
+                        coordinator.sink().as_ref(),
+                        t,
+                    );
                     let mut ctx = coordinator.plan_pool().checkout();
                     let outcome =
                         ctx.prepare_epoch(&request.session, &snapshot, &request.options.qrg);
-                    let ns = span.end();
+                    drop(span);
                     record_delta_outcome(coordinator.counters(), &outcome);
                     if traced {
-                        if let Some(ns) = ns {
-                            group_events.push(
-                                TraceEvent::new(t, EventKind::PhaseTiming)
-                                    .with_name(Phase::Plan.name())
-                                    .with_duration_ns(ns),
-                            );
-                        }
-                        group_events.push(delta_repair_event(
+                        coordinator.sink().emit(&delta_repair_event(
                             t,
                             request.session.service().name(),
                             &outcome,
@@ -326,65 +320,25 @@ impl<'a> AdmissionQueue<'a> {
             group_of.push(g);
         }
 
-        // Phase 2b, in parallel: Pass II for each request, read-only
-        // over its group's shared relaxation. Workers pull indices from
-        // an atomic cursor and send results home over a channel; events
-        // stay buffered per request so emission order (below) is
-        // arrival order, not worker order.
-        let workers = self.config.workers.clamp(1, n);
-        let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<Planned>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        if workers == 1 {
-            // Sequential planning needs neither threads nor a channel.
-            let mut work = PlanWorkspace::new();
-            for (i, request) in requests.iter().enumerate() {
-                let ctx: &PlanCtx = &group_ctxs[group_of[i]];
-                slots[i] = Some(self.plan_one(request, ctx, &mut work, epoch, i, now, traced));
-            }
-        } else {
-            std::thread::scope(|scope| {
-                let (tx, rx) = mpsc::channel();
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    let cursor = &cursor;
-                    let group_of = &group_of;
-                    let group_ctxs = &group_ctxs;
-                    scope.spawn(move || {
-                        let mut work = PlanWorkspace::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let ctx: &PlanCtx = &group_ctxs[group_of[i]];
-                            let planned =
-                                self.plan_one(&requests[i], ctx, &mut work, epoch, i, now, traced);
-                            if tx.send((i, planned)).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-                drop(tx);
-                for (i, planned) in rx {
-                    slots[i] = Some(planned);
-                }
-            });
-        }
+        // Phase 2b: Pass II for each request over its group's
+        // relaxation. The whole round is planned before anything
+        // commits — a replan in phase 3 moves the group context off the
+        // snapshot — and events stay buffered per request so the trace
+        // reads request by request.
+        let planned: Vec<Planned> = requests
+            .iter()
+            .enumerate()
+            .map(|(i, request)| {
+                self.plan_one(request, &mut group_ctxs[group_of[i]], epoch, i, now, traced)
+            })
+            .collect();
 
         coordinator.counters().record_batch_planned();
         if traced {
-            for ev in &group_events {
-                coordinator.sink().emit(ev);
-            }
             coordinator.sink().emit(
                 &TraceEvent::new(t, EventKind::BatchPlanned)
                     .with_level(n as u32)
-                    .with_detail(format!(
-                        "epoch {epoch}, {workers} workers, {} plan groups",
-                        reps.len()
-                    )),
+                    .with_detail(format!("epoch {epoch}, {} plan groups", reps.len())),
             );
         }
 
@@ -392,8 +346,7 @@ impl<'a> AdmissionQueue<'a> {
         // broker state, detecting conflicts against the round's working
         // view (snapshot minus earlier commits).
         let mut working = snapshot.working();
-        for (i, request) in requests.iter().enumerate() {
-            let planned = slots[i].take().expect("every request was planned");
+        for (i, (request, planned)) in requests.iter().zip(planned).enumerate() {
             let gctx: &mut PlanCtx = &mut group_ctxs[group_of[i]];
             let mut collector = match request.trace {
                 Some(ctx) if tracing => Some(SpanCollector::new(ctx)),
@@ -428,15 +381,12 @@ impl<'a> AdmissionQueue<'a> {
     }
 
     /// Phase 2b for one request: Pass II against its group's shared,
-    /// delta-prepared context, assembling in the worker's private
-    /// workspace and buffering the trace events the single-session path
-    /// would have emitted.
-    #[allow(clippy::too_many_arguments)]
+    /// delta-prepared context, buffering the trace events the
+    /// single-session path would have emitted.
     fn plan_one(
         &self,
         request: &SessionRequest,
-        ctx: &PlanCtx,
-        work: &mut PlanWorkspace,
+        ctx: &mut PlanCtx,
         epoch: u64,
         index: usize,
         now: SimTime,
@@ -475,14 +425,13 @@ impl<'a> AdmissionQueue<'a> {
 
         let mut rng = StdRng::seed_from_u64(derive_seed(self.config.seed, epoch, index as u64, 0));
         // Time the plan with a plain (un-traced) span and buffer the
-        // timing event with the rest: workers must not emit directly,
-        // or trace order would depend on worker interleaving. Traced
+        // timing event with the rest of the request's events. Traced
         // requests additionally capture the raw instants so commit_one
-        // can attach the exact plan span in arrival order.
+        // can attach the exact plan span.
         let span_wanted = request.trace.is_some() && self.coordinator.tracer().enabled();
         let plan_started = span_wanted.then(Instant::now);
         let plan_span = self.coordinator.phase_timers().span(Phase::Plan);
-        let result = ctx.plan_shared(request.options.planner, &mut rng, work);
+        let result = ctx.plan(request.options.planner, &mut rng);
         let span = plan_started.map(|s| (s, s.elapsed().as_nanos() as u64));
         if let Some(ns) = plan_span.end() {
             if traced {
@@ -514,7 +463,7 @@ impl<'a> AdmissionQueue<'a> {
                 events.push(ev);
             }
         }
-        let downgrade = work.last_downgrade();
+        let downgrade = ctx.last_downgrade();
         if let Some((from, to)) = downgrade {
             if traced {
                 events.push(
@@ -960,6 +909,10 @@ mod tests {
     }
 
     fn world(capacity: f64) -> World {
+        world_traced(capacity, Arc::new(qosr_obs::NullSink))
+    }
+
+    fn world_traced(capacity: f64, sink: Arc<dyn qosr_obs::TraceSink>) -> World {
         let mut space = ResourceSpace::new();
         let cpu = space.register("cpu", ResourceKind::Compute);
         let mut reg = BrokerRegistry::new();
@@ -969,7 +922,7 @@ mod tests {
             SimTime::ZERO,
             LocalBrokerConfig::default(),
         )));
-        let coordinator = Coordinator::new(vec![Arc::new(QosProxy::new("H", reg))]);
+        let coordinator = Coordinator::with_trace(vec![Arc::new(QosProxy::new("H", reg))], sink);
 
         let schema = QosSchema::new("q", ["x"]);
         let v = |x: u32| QosVector::new(schema.clone(), [x]);
@@ -1009,7 +962,6 @@ mod tests {
         let queue = AdmissionQueue::new(
             &w.coordinator,
             AdmissionConfig {
-                workers: 4,
                 seed: 7,
                 ..AdmissionConfig::default()
             },
@@ -1053,7 +1005,6 @@ mod tests {
         let queue = AdmissionQueue::new(
             &w.coordinator,
             AdmissionConfig {
-                workers: 2,
                 max_replans: 0,
                 seed: 7,
                 ..AdmissionConfig::default()
@@ -1089,39 +1040,39 @@ mod tests {
     }
 
     #[test]
-    fn outcomes_are_deterministic_across_worker_counts() {
-        let run = |workers: usize| {
-            let w = world(100.0);
+    fn same_seed_queues_admit_identically() {
+        let run = || {
+            let sink = Arc::new(qosr_obs::MemorySink::default());
+            let w = world_traced(100.0, sink.clone());
             let queue = AdmissionQueue::new(
                 &w.coordinator,
                 AdmissionConfig {
-                    workers,
                     seed: 42,
                     ..AdmissionConfig::default()
                 },
             );
             let requests: Vec<_> = (0..5)
-                .map(|_| SessionRequest::new(w.session.clone()))
+                .map(|i| {
+                    let planner = if i % 2 == 0 {
+                        Planner::Basic
+                    } else {
+                        Planner::Random
+                    };
+                    SessionRequest::new(w.session.clone()).planner(planner)
+                })
                 .collect();
             let outcomes = queue.admit(&requests, SimTime::new(1.0));
             let shape: Vec<_> = outcomes
                 .iter()
                 .map(|o| (o.is_admitted(), o.session().map(|e| (e.id.0, e.plan.rank))))
                 .collect();
-            (shape, available(&w), w.coordinator.counters().snapshot())
+            let snap = w.coordinator.counters().snapshot();
+            (shape, available(&w), snap, sink.events())
         };
-        let (shape1, avail1, snap1) = run(1);
-        let (shape8, avail8, snap8) = run(8);
-        assert_eq!(shape1, shape8);
-        assert_eq!(avail1, avail8);
-        assert_eq!(snap1.commit_conflicts, snap8.commit_conflicts);
-        assert_eq!(snap1.replans, snap8.replans);
-        assert_eq!(snap1.establishments, snap8.establishments);
-        // Delta accounting happens in sequential sections only, so it
-        // must not depend on worker count either.
-        assert_eq!(snap1.delta_repairs, snap8.delta_repairs);
-        assert_eq!(snap1.delta_fallbacks, snap8.delta_fallbacks);
-        assert_eq!(snap1.relax_nodes_repaired, snap8.relax_nodes_repaired);
+        let (shape, avail, snap, events) = run();
+        assert_eq!(snap.commit_conflicts, 4, "the batch must contend");
+        assert!(!events.is_empty());
+        assert_eq!((shape, avail, snap, events), run());
     }
 
     #[test]
@@ -1168,7 +1119,6 @@ mod tests {
                 .collect()
         };
         let config = AdmissionConfig {
-            workers: 3,
             seed: 9,
             ..AdmissionConfig::default()
         };
@@ -1201,7 +1151,6 @@ mod tests {
         let queue = AdmissionQueue::new(
             &w.coordinator,
             AdmissionConfig {
-                workers: 4,
                 seed: 7,
                 ..AdmissionConfig::default()
             },
@@ -1299,7 +1248,6 @@ mod tests {
         let queue = AdmissionQueue::new(
             &w.coordinator,
             AdmissionConfig {
-                workers: 3,
                 seed: 1,
                 ..AdmissionConfig::default()
             },

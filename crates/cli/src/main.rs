@@ -38,7 +38,7 @@ const USAGE: &str = "usage:
   qosr run --validate <file.scenario.json>
   qosr run --list [dir]
   qosr serve [--addr HOST:PORT] [--world bench|paper] [--world-seed N] [--capacity LO,HI]
-             [--workers N] [--max-batch N] [--max-replans N] [--seed N]
+             [--max-batch N] [--max-replans N] [--seed N]
              [--addr-file FILE] [--metrics-addr HOST:PORT]
              [--slo-p99-ms MS] [--slo-max-rejection R] [--slo-max-degraded R]
              [--flight-capacity N] [--flight-dump FILE]
@@ -161,9 +161,6 @@ fn main() -> ExitCode {
                     },
                     "--capacity (expected LO,HI)"
                 );
-            }
-            "--workers" => {
-                serve_opts.workers = flag_value!(args, i, |s: &String| s.parse().ok(), "--workers");
             }
             "--max-batch" => {
                 serve_opts.max_batch =

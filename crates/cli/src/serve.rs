@@ -105,8 +105,6 @@ pub struct ServeOptions {
     pub world_seed: u64,
     /// Capacity range for the paper world (`--capacity LO,HI`).
     pub capacity: (f64, f64),
-    /// Admission pipeline worker threads (`--workers`).
-    pub workers: usize,
     /// Replan budget per conflicted request (`--max-replans`).
     pub max_replans: u32,
     /// Admission pipeline base seed (`--seed`).
@@ -138,7 +136,6 @@ impl Default for ServeOptions {
             world: WorldKind::Bench,
             world_seed: 42,
             capacity: (1000.0, 4000.0),
-            workers: 4,
             max_replans: 2,
             seed: 0,
             max_batch: 256,
@@ -536,7 +533,6 @@ pub fn start(opts: &ServeOptions) -> Result<Server, ScenarioError> {
 
     let admission = {
         let config = AdmissionConfig {
-            workers: opts.workers,
             max_replans: opts.max_replans,
             seed: opts.seed,
             ..AdmissionConfig::default()
@@ -814,7 +810,7 @@ fn admission_loop(
                                 }
                             }
                             // Gather window: a round has a fixed cost
-                            // (epoch snapshot + worker dispatch), so
+                            // (epoch snapshot + group prepares), so
                             // running it per lone request caps
                             // throughput far below the pipeline's
                             // capacity. When the server is hot —

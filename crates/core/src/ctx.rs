@@ -64,7 +64,7 @@ use crate::qrg::EdgeBottleneck;
 use crate::relax::{relax_into, relax_repair};
 use crate::skeleton::QrgSkeleton;
 use crate::snapshot::EpochSnapshot;
-use crate::view::{PlanScratch, PlanView, PlanWorkspace};
+use crate::view::{PlanScratch, PlanView};
 use crate::{AvailabilityView, NodeRef, PlanError, Planner, QrgOptions, ReservationPlan};
 use qosr_model::{ResourceId, ResourceVector, ServiceSpec, SessionInstance};
 use rand::Rng;
@@ -508,54 +508,6 @@ impl PlanCtx {
         }
     }
 
-    /// Like [`PlanCtx::plan`], but read-only over the context: the
-    /// shared, already-relaxed state is consumed while Pass II and
-    /// assembly run in the caller's private `work` buffer. This is what
-    /// lets every worker of a batch round plan concurrently against
-    /// **one** repaired relaxation. The tradeoff downgrade (if any) is
-    /// reported via [`PlanWorkspace::last_downgrade`] on `work`.
-    ///
-    /// # Panics
-    /// Panics unless the context was prepared through
-    /// [`PlanCtx::prepare_delta`] / [`PlanCtx::prepare_epoch`] (which
-    /// relax eagerly) or has planned at least once since `prepare`.
-    pub fn plan_shared(
-        &self,
-        planner: Planner,
-        rng: &mut impl Rng,
-        work: &mut PlanWorkspace,
-    ) -> Result<ReservationPlan, PlanError> {
-        let sk = self
-            .skeleton
-            .as_ref()
-            .expect("PlanCtx::plan_shared called before PlanCtx::prepare");
-        assert!(
-            self.relaxed,
-            "PlanCtx::plan_shared needs an eager relaxation — prepare with \
-             prepare_delta/prepare_epoch first"
-        );
-        let view = CtxView {
-            sk,
-            options: &self.options,
-            demand_off: &self.demand_off,
-            demand_buf: &self.demand_buf,
-            weight: &self.weight,
-            bottleneck: &self.bottleneck,
-        };
-        if matches!(planner, Planner::Basic | Planner::Random) {
-            ensure_chain(&view)?;
-        }
-        match planner {
-            Planner::Basic | Planner::Dag => {
-                finish_minimax(&view, &self.scratch.dist, &self.scratch.pred, work)
-            }
-            Planner::Tradeoff => {
-                finish_tradeoff(&view, &self.scratch.dist, &self.scratch.pred, work)
-            }
-            Planner::Random => finish_random(&view, &self.scratch.dist, work, rng),
-        }
-    }
-
     /// One-shot convenience: [`PlanCtx::prepare`] + [`PlanCtx::plan`].
     pub fn plan_session(
         &mut self,
@@ -607,9 +559,7 @@ impl PlanCtx {
     }
 
     /// `(from_rank, to_rank)` when the last [`PlanCtx::plan`] run took an
-    /// α-tradeoff step down (§4.3.1), `None` otherwise. Plans run
-    /// through [`PlanCtx::plan_shared`] report on their own workspace
-    /// instead.
+    /// α-tradeoff step down (§4.3.1), `None` otherwise.
     pub fn last_downgrade(&self) -> Option<(u32, u32)> {
         self.scratch.work.downgrade
     }
@@ -1103,40 +1053,5 @@ mod tests {
         assert_eq!(eff.avail(fx.space.id("cpu0").unwrap()), 111.0);
         // And the buffers match a full prepare over the effective view.
         assert_state_matches_full(&mut ctx, &fx.session, &crossed);
-    }
-
-    #[test]
-    fn plan_shared_matches_exclusive_plans() {
-        let fx = ChainFixture::paper_like();
-        let options = QrgOptions::default();
-        let view = AvailabilityView::from_fn(fx.space.ids(), |_| 100.0);
-        let mut ctx = PlanCtx::new();
-        ctx.prepare_delta(&fx.session, &view, &options);
-        let mut work = PlanWorkspace::new();
-        for planner in [
-            Planner::Basic,
-            Planner::Tradeoff,
-            Planner::Random,
-            Planner::Dag,
-        ] {
-            let mut rng_a = StdRng::seed_from_u64(23);
-            let mut rng_b = StdRng::seed_from_u64(23);
-            let shared = ctx.plan_shared(planner, &mut rng_a, &mut work);
-            let mut fresh = PlanCtx::new();
-            let exclusive = fresh.plan_session(&fx.session, &view, &options, planner, &mut rng_b);
-            assert_eq!(shared, exclusive, "planner {planner:?}");
-            assert_eq!(rng_a, rng_b);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "plan_shared needs an eager relaxation")]
-    fn plan_shared_requires_delta_prepare() {
-        let fx = ChainFixture::paper_like();
-        let view = AvailabilityView::from_fn(fx.space.ids(), |_| 100.0);
-        let mut ctx = PlanCtx::new();
-        ctx.prepare(&fx.session, &view, &QrgOptions::default());
-        let mut rng = StdRng::seed_from_u64(0);
-        let _ = ctx.plan_shared(Planner::Basic, &mut rng, &mut PlanWorkspace::new());
     }
 }

@@ -93,4 +93,3 @@ pub use qrg::{EdgeKind, NodeRef, Qrg, QrgEdge, QrgOptions};
 pub use relax::{relax, Relaxation};
 pub use skeleton::QrgSkeleton;
 pub use snapshot::EpochSnapshot;
-pub use view::PlanWorkspace;

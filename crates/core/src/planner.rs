@@ -91,8 +91,7 @@ pub(crate) fn plan_minimax<V: PlanView>(
 
 /// Pass II + assembly of the minimax planner over an already-relaxed
 /// Pass-I result. Split out so a repaired relaxation (delta path) can be
-/// consumed without resweeping, and so concurrent callers can share one
-/// relaxation while backtracking into private workspaces.
+/// consumed without resweeping.
 pub(crate) fn finish_minimax<V: PlanView>(
     view: &V,
     dist: &[f64],

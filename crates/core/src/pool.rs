@@ -1,14 +1,14 @@
 //! A lock-light pool of [`PlanCtx`] scratch instances.
 //!
 //! Planning through a [`PlanCtx`] is allocation-free after warm-up, but a
-//! context is `&mut self` state: under concurrent admission many worker
-//! threads plan at once, and funnelling them through a single
-//! `Mutex<PlanCtx>` serializes the very phase that dominates admission
-//! cost. A [`PlanCtxPool`] hands each worker its own context instead: a
-//! checkout pops a warmed context (or creates a fresh one when the pool
-//! runs dry), and dropping the [`PooledCtx`] guard returns it. The pool's
-//! mutex is held only for the `Vec` push/pop — nanoseconds — never for
-//! the planning work itself, so throughput scales with worker count.
+//! context is `&mut self` state: several threads may establish sessions
+//! or run admission rounds on one coordinator at once, and funnelling
+//! them through a single `Mutex<PlanCtx>` would serialize their
+//! planning. A [`PlanCtxPool`] hands each caller its own context
+//! instead: a checkout pops a warmed context (or creates a fresh one
+//! when the pool runs dry), and dropping the [`PooledCtx`] guard returns
+//! it. The pool's mutex is held only for the `Vec` push/pop —
+//! nanoseconds — never for the planning work itself.
 //!
 //! Contexts keep whatever [`QrgSkeleton`](crate::QrgSkeleton) they last
 //! planned against, so a pool that serves a recurring service mix stays

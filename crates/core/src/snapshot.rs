@@ -16,7 +16,7 @@ static GENERATION: AtomicU64 = AtomicU64::new(1);
 ///
 /// The batched pipeline collects availability from all brokers **once**
 /// per round instead of once per request, stamps the result with a
-/// monotonically increasing epoch, and lets every worker thread plan
+/// monotonically increasing epoch, and plans every request of the round
 /// against the same immutable view. The epoch identifies the round in
 /// trace events and makes the staleness of any plan explicit: a plan
 /// carries the epoch it was computed against, and the sequential commit

@@ -184,15 +184,11 @@ pub(crate) struct PlanScratch {
     pub work: PlanWorkspace,
 }
 
-/// Reusable Pass II + assembly buffers for one planning run.
-///
-/// A [`crate::PlanCtx`] owns one for its exclusive
-/// [`crate::PlanCtx::plan`] path. Concurrent callers sharing a single
-/// *prepared* context (one relaxation repaired once per batch round —
-/// [`crate::PlanCtx::plan_shared`]) each bring their own workspace, so
-/// Pass I is computed once while every worker backtracks privately.
+/// Reusable Pass II + assembly buffers for one planning run — the part
+/// of [`PlanScratch`] the planners write while they read its Pass-I
+/// result.
 #[derive(Debug, Default)]
-pub struct PlanWorkspace {
+pub(crate) struct PlanWorkspace {
     /// Pass II scratch.
     pub(crate) bt: BtScratch,
     /// Primary backtracked assignments.
@@ -206,20 +202,6 @@ pub struct PlanWorkspace {
     /// `(from_rank, to_rank)` when the last tradeoff run stepped down
     /// from the best reachable level (§4.3.1); `None` otherwise. Cleared
     /// by every planner, read back through
-    /// [`crate::PlanCtx::last_downgrade`] /
-    /// [`PlanWorkspace::last_downgrade`].
+    /// [`crate::PlanCtx::last_downgrade`].
     pub(crate) downgrade: Option<(u32, u32)>,
-}
-
-impl PlanWorkspace {
-    /// An empty workspace; buffers grow on first use and are reused.
-    pub fn new() -> Self {
-        PlanWorkspace::default()
-    }
-
-    /// `(from_rank, to_rank)` when the last plan run through this
-    /// workspace took an α-tradeoff step down (§4.3.1), `None` otherwise.
-    pub fn last_downgrade(&self) -> Option<(u32, u32)> {
-        self.downgrade
-    }
 }

@@ -102,9 +102,9 @@ pub enum EventKind {
     /// An establishment exhausted its retry budget on injected faults
     /// and failed. Payload: `service`, `detail`.
     EstablishFaulted,
-    /// A batched admission round planned all its requests in parallel
-    /// against one epoch-stamped availability snapshot. Payload: `level`
-    /// (batch size), `detail` (epoch and worker count).
+    /// A batched admission round planned all its requests against one
+    /// epoch-stamped availability snapshot. Payload: `level` (batch
+    /// size), `detail` (epoch and plan-group count).
     BatchPlanned,
     /// The sequential commit phase of a batched round found that an
     /// earlier commit in the same round consumed a plan's Ψ-critical

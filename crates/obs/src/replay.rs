@@ -588,7 +588,7 @@ mod tests {
             TraceEvent::new(0.0, EventKind::PlanStarted),
             TraceEvent::new(0.0, EventKind::BatchPlanned)
                 .with_level(8)
-                .with_detail("epoch 0, 4 workers"),
+                .with_detail("epoch 0, 1 plan groups"),
             TraceEvent::new(0.0, EventKind::CommitConflict)
                 .with_service("clip")
                 .with_resource(2)

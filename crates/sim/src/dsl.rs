@@ -937,6 +937,12 @@ impl ScenarioFile {
                 format!("config.sample_period must be > 0, got {v}"),
             );
         }
+        if let Some(b) = c.batch_arrivals {
+            check(
+                b.size >= 1,
+                "config.batch_arrivals.size must be >= 1".to_owned(),
+            );
+        }
         problems.extend(validate_rules(&self.rules));
         if problems.is_empty() {
             Ok(())
@@ -1278,6 +1284,22 @@ mod tests {
         .unwrap_err();
         assert!(err.to_string().contains("meteor"), "{err}");
         assert!(err.to_string().contains("flash_crowd"), "{err}");
+    }
+
+    #[test]
+    fn zero_batch_size_is_a_validation_problem() {
+        // `workers` left the schema; files that still carry it load.
+        let file = ScenarioFile::from_json(
+            r#"{"name": "x",
+                "config": {"batch_arrivals": {"size": 0, "workers": 4, "max_replans": 2}}}"#,
+        )
+        .unwrap();
+        let err = file.validate().unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("config.batch_arrivals.size must be >= 1"),
+            "{err}"
+        );
     }
 
     #[test]

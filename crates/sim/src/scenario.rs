@@ -164,14 +164,12 @@ pub struct ScenarioConfig {
 }
 
 /// Batched-admission knob: buffer arrivals and flush them through the
-/// concurrent [`qosr_broker::AdmissionQueue`] pipeline in rounds.
+/// [`qosr_broker::AdmissionQueue`] pipeline in rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BatchArrivals {
     /// Flush a round when this many arrivals are pending (a final
     /// partial round flushes at the horizon).
     pub size: usize,
-    /// Worker threads planning each round in parallel.
-    pub workers: usize,
     /// Replan budget per request after same-round commit conflicts.
     pub max_replans: u32,
 }
@@ -180,7 +178,6 @@ impl Default for BatchArrivals {
     fn default() -> Self {
         BatchArrivals {
             size: 8,
-            workers: 4,
             max_replans: 2,
         }
     }
@@ -546,7 +543,6 @@ pub fn run_scenario_observed(
         AdmissionQueue::new(
             &env.coordinator,
             AdmissionConfig {
-                workers: b.workers.max(1),
                 max_replans: b.max_replans,
                 seed: config.seed,
                 observation: establish_options.observation,
@@ -673,7 +669,7 @@ pub fn run_scenario_observed(
             });
             if let Some(batch) = &config.batch_arrivals {
                 pending.push((request, session, trace_id));
-                if pending.len() >= batch.size.max(1) {
+                if pending.len() >= batch.size {
                     flush_batch(
                         admission.as_ref().expect("queue exists when batching"),
                         &env,
@@ -1280,14 +1276,13 @@ mod tests {
 mod batch_tests {
     use super::*;
 
-    fn batched(size: usize, workers: usize, rate: f64, seed: u64) -> ScenarioConfig {
+    fn batched(size: usize, rate: f64, seed: u64) -> ScenarioConfig {
         ScenarioConfig {
             seed,
             rate_per_60tu: rate,
             horizon: 1200.0,
             batch_arrivals: Some(BatchArrivals {
                 size,
-                workers,
                 max_replans: 2,
             }),
             ..ScenarioConfig::default()
@@ -1296,7 +1291,7 @@ mod batch_tests {
 
     #[test]
     fn batched_arrivals_admit_in_rounds() {
-        let r = run_scenario(&batched(8, 4, 120.0, 9));
+        let r = run_scenario(&batched(8, 120.0, 9));
         assert!(r.metrics.batches_planned > 0);
         assert!(
             r.metrics.overall.attempts > 1800,
@@ -1316,7 +1311,7 @@ mod batch_tests {
 
     #[test]
     fn batched_load_provokes_conflicts_and_replans() {
-        let r = run_scenario(&batched(16, 4, 240.0, 23));
+        let r = run_scenario(&batched(16, 240.0, 23));
         assert!(
             r.metrics.commit_conflicts > 0,
             "heavy batched load should conflict"
@@ -1326,14 +1321,6 @@ mod batch_tests {
         // (Capacity bounds are asserted by the brokers themselves; a
         // violated reserve would have panicked the run.)
         assert!(r.metrics.overall.successes > 0);
-    }
-
-    #[test]
-    fn batched_runs_are_deterministic_across_worker_counts() {
-        let a = run_scenario(&batched(6, 1, 150.0, 17));
-        let b = run_scenario(&batched(6, 8, 150.0, 17));
-        assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.messages, b.messages);
     }
 }
 

@@ -4,29 +4,85 @@
 //!
 //! * the [`SessionRequest`] builder's per-request policy (QoS floor,
 //!   deadline) classifies outcomes before anything is reserved;
-//! * batch outcomes are deterministic in the worker count;
+//! * a batch is reproducible: same seed, same outcomes, counters and
+//!   trace, with one contended batch pinned as literals;
 //! * scarcity provokes same-round conflicts that replan into degraded
 //!   commits instead of rejections, with the per-host message shards
 //!   accounting for the traffic;
 //! * concurrent `admit` rounds from many OS threads never over-commit
 //!   a broker (`ADMISSION_STRESS=1` scales the schedule up — the CI
-//!   threaded-stress step runs it under a pinned `RUST_TEST_THREADS`).
+//!   concurrent-rounds step runs it under a pinned `RUST_TEST_THREADS`).
 
 use qosr::broker::LocalBrokerConfig;
+use qosr::obs::{MemorySink, NullSink, TraceSink};
 use qosr::prelude::*;
 use qosr::sim::services::ServiceOptions;
-use qosr::sim::PaperEnvironment;
+use qosr::sim::{PaperEnvironment, TopologyVariant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn paper_env(seed: u64, capacity_range: (f64, f64)) -> PaperEnvironment {
+    paper_env_traced(seed, capacity_range, Arc::new(NullSink))
+}
+
+fn paper_env_traced(
+    seed: u64,
+    capacity_range: (f64, f64),
+    sink: Arc<dyn TraceSink>,
+) -> PaperEnvironment {
     let mut rng = StdRng::seed_from_u64(seed);
-    PaperEnvironment::build(
+    PaperEnvironment::build_with_topology_traced(
         &mut rng,
         &ServiceOptions::default(),
         capacity_range,
         LocalBrokerConfig::default(),
+        TopologyVariant::FullMesh,
+        sink,
     )
+}
+
+/// Admits twenty fat sessions of three services piled on two domains
+/// of a scarce world, every fourth planned by the random planner — the
+/// batch contends, replans and rejects — and returns one
+/// `(outcome kind, rank, psi bits, session id)` row per request.
+fn admit_contended_batch(env: &PaperEnvironment) -> Vec<(&'static str, u32, u64, u64)> {
+    let requests: Vec<SessionRequest> = (0..20)
+        .map(|i| {
+            let request =
+                SessionRequest::new(env.session([0, 1, 3][i % 3], 4 + (i % 2), 5.0).unwrap());
+            if i % 4 == 3 {
+                request.planner(Planner::Random)
+            } else {
+                request
+            }
+        })
+        .collect();
+    let queue = AdmissionQueue::new(
+        &env.coordinator,
+        AdmissionConfig {
+            seed: 3,
+            ..AdmissionConfig::default()
+        },
+    );
+    queue
+        .admit(&requests, SimTime::new(1.0))
+        .iter()
+        .map(outcome_row)
+        .collect()
+}
+
+/// One [`admit_contended_batch`] row; zeros when rejected.
+fn outcome_row(outcome: &EstablishOutcome) -> (&'static str, u32, u64, u64) {
+    let kind = match outcome {
+        EstablishOutcome::Committed(_) => "committed",
+        EstablishOutcome::Degraded { .. } => "degraded",
+        EstablishOutcome::Rejected { .. } => "rejected",
+    };
+    match outcome.session() {
+        Some(est) => (kind, est.plan.rank, est.plan.psi.to_bits(), est.id.0),
+        None => (kind, 0, 0, 0),
+    }
 }
 
 /// `(service, domain)` pairs honouring the excluded-service rule.
@@ -88,32 +144,67 @@ fn builder_policy_gates_admission_before_reserving() {
 }
 
 #[test]
-fn batch_outcomes_do_not_depend_on_worker_count() {
-    let run = |workers: usize| {
-        let env = paper_env(23, (300.0, 1200.0));
-        let requests: Vec<SessionRequest> = valid_pairs()
-            .map(|(service, domain)| {
-                SessionRequest::new(env.session(service, domain, 4.0).unwrap())
-            })
-            .collect();
-        let queue = AdmissionQueue::new(
-            &env.coordinator,
-            AdmissionConfig {
-                workers,
-                seed: 99,
-                ..AdmissionConfig::default()
-            },
-        );
-        queue
-            .admit(&requests, SimTime::new(1.0))
-            .iter()
-            .map(|o| (o.is_admitted(), o.session().map(|est| est.plan.rank)))
-            .collect::<Vec<_>>()
+fn same_seed_batches_admit_identically() {
+    let run = || {
+        let sink = Arc::new(MemorySink::default());
+        let env = paper_env_traced(7, (250.0, 1000.0), sink.clone());
+        let rows = admit_contended_batch(&env);
+        (rows, env.coordinator.counters().snapshot(), sink.events())
     };
-    let single = run(1);
-    assert_eq!(single, run(5));
-    assert_eq!(single, run(8));
-    assert!(single.iter().any(|(admitted, _)| *admitted));
+    let first = run();
+    assert!(!first.2.is_empty(), "the traced run must emit events");
+    assert_eq!(first, run());
+}
+
+/// Recorded at the last commit that had a planning worker pool, where
+/// it passed at 1 and at 4 workers: the pipeline that replaced it must
+/// admit this batch to the bit.
+#[test]
+fn contended_batch_outcomes_are_pinned() {
+    let env = paper_env(7, (250.0, 1000.0));
+    let rows = admit_contended_batch(&env);
+    let rejected = ("rejected", 0, 0, 0);
+    assert_eq!(
+        rows,
+        [
+            ("committed", 3, 0x3fca583ac2653389, 1),
+            ("committed", 3, 0x3fd5cc6e1d5030ca, 2),
+            ("committed", 3, 0x3fd07d7b27e4504f, 3),
+            ("committed", 3, 0x3fdfb4fd41e90126, 4),
+            ("committed", 3, 0x3fc6ac8956d9ee6c, 5),
+            ("degraded", 1, 0x3fee368cdf6a03c9, 6),
+            ("committed", 3, 0x3fca583ac2653389, 7),
+            rejected,
+            ("degraded", 2, 0x3fe9f3938f15b2ab, 8),
+            rejected,
+            rejected,
+            rejected,
+            rejected,
+            rejected,
+            rejected,
+            rejected,
+            rejected,
+            rejected,
+            rejected,
+            rejected,
+        ]
+    );
+    assert_eq!(
+        serde_json::to_string(&env.coordinator.counters().snapshot()).unwrap(),
+        concat!(
+            r#"{"plans_started":20,"plans_completed":20,"plans_rejected":12,"#,
+            r#""reservations_committed":8,"reservations_rejected":0,"sessions_released":0,"#,
+            r#""upgrades":0,"tradeoff_downgrades":0,"skeleton_hits":0,"skeleton_misses":0,"#,
+            r#""faults_injected":0,"rollbacks":0,"retries":0,"degraded_commits":2,"#,
+            r#""sessions_lost":0,"fault_failures":0,"establish_attempts":20,"#,
+            r#""establishments":8,"batches_planned":1,"commit_conflicts":14,"replans":14,"#,
+            r#""delta_repairs":6,"delta_fallbacks":14,"relax_nodes_repaired":8,"#,
+            r#""serve_requests":0,"serve_batches":0,"serve_protocol_errors":0,"#,
+            r#""serve_disconnects":0,"advance_booked":0,"advance_repacked":0,"#,
+            r#""advance_rejected":0,"psi_buckets":[0,1,3,1,1,0,0,0,1,1,0],"#,
+            r#""psi_milli":{"count":8,"sum":3438,"min":177,"max":944,"p50":263,"p90":944,"p99":944}}"#,
+        )
+    );
 }
 
 #[test]
@@ -126,7 +217,6 @@ fn scarcity_replans_conflicts_and_shards_account_for_traffic() {
     let queue = AdmissionQueue::new(
         &env.coordinator,
         AdmissionConfig {
-            workers: 4,
             seed: 3,
             ..AdmissionConfig::default()
         },
@@ -179,7 +269,6 @@ fn concurrent_admission_rounds_never_over_commit() {
     let queue = AdmissionQueue::new(
         &env.coordinator,
         AdmissionConfig {
-            workers: 2,
             seed: 17,
             ..AdmissionConfig::default()
         },

@@ -288,20 +288,7 @@ fn bench_obs_agrees_with_the_admission_reference() {
     let obs = load("BENCH_obs.json");
     let admission = load("BENCH_admission.json");
     let reference = number(&obs, "reference_admission_ns_per_session");
-    let pipeline = find_field(&admission, "pipeline")
-        .and_then(Value::as_array)
-        .expect("BENCH_admission.json pipeline array");
-    let four_workers = pipeline
-        .iter()
-        .filter_map(Value::as_object)
-        .find(|r| {
-            matches!(
-                find_field(r, "workers"),
-                Some(Value::Int(4) | Value::UInt(4))
-            )
-        })
-        .expect("4-worker pipeline entry");
-    let committed = number(four_workers, "ns_per_session");
+    let committed = number(&admission, "pipeline_ns_per_session");
     assert_eq!(
         reference, committed,
         "BENCH_obs.json must have been generated against the committed admission reference"

@@ -393,9 +393,9 @@ fn disjoint_world(capacity: f64) -> DisjointWorld {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases_from_env(24))]
 
-    /// With no same-round conflicts, a concurrently planned batch
-    /// commits exactly what sequential admission in arrival order
-    /// commits: the same requests admitted at the same ranks, leaving
+    /// With no same-round conflicts, a batch commits exactly what
+    /// sequential admission in arrival order commits: the same
+    /// requests admitted at the same ranks, leaving
     /// every broker at the same availability. The world's sessions are
     /// single-component with one binding each, so plans have no
     /// Ψ-driven path freedom — any divergence is a pipeline bug, not
@@ -403,7 +403,6 @@ proptest! {
     #[test]
     fn conflict_free_batches_match_sequential_admission(
         queue_seed in any::<u64>(),
-        workers in 1usize..=6,
         picks in prop::collection::vec((0usize..4, 1.0f64..4.0), 1..12),
     ) {
         let batch_world = disjoint_world(100_000.0);
@@ -419,7 +418,6 @@ proptest! {
         let queue = AdmissionQueue::new(
             &batch_world.coordinator,
             AdmissionConfig {
-                workers,
                 seed: queue_seed,
                 ..AdmissionConfig::default()
             },
@@ -458,30 +456,25 @@ proptest! {
 
     /// Under scarcity — fat sessions against tight capacity — batched
     /// admission conflicts and replans, but never over-commits a
-    /// broker, whatever the worker count or replan budget; outcomes are
-    /// identical across worker counts, and terminating everything that
-    /// was admitted restores the untouched world.
+    /// broker, whatever the replan budget, and terminating everything
+    /// that was admitted restores the untouched world.
     #[test]
     fn contended_batches_never_over_commit(
         env_seed in 0u64..1_000_000,
         queue_seed in any::<u64>(),
-        workers in 1usize..=8,
         max_replans in 0u32..=3,
         picks in prop::collection::vec((any::<u64>(), 1.0f64..10.0), 4..16),
     ) {
         let env = fresh_env(env_seed, (150.0, 600.0));
-        let twin = fresh_env(env_seed, (150.0, 600.0));
         let now = SimTime::new(1.0);
 
-        let build = |e: &PaperEnvironment| -> Vec<SessionRequest> {
-            picks
-                .iter()
-                .map(|&(p, scale)| {
-                    let (service, domain) = pick_pair(p);
-                    SessionRequest::new(e.session(service, domain, scale).unwrap())
-                })
-                .collect()
-        };
+        let requests: Vec<SessionRequest> = picks
+            .iter()
+            .map(|&(p, scale)| {
+                let (service, domain) = pick_pair(p);
+                SessionRequest::new(env.session(service, domain, scale).unwrap())
+            })
+            .collect();
         let brokers: Vec<_> = env
             .coordinator
             .proxies()
@@ -493,32 +486,12 @@ proptest! {
         let queue = AdmissionQueue::new(
             &env.coordinator,
             AdmissionConfig {
-                workers,
                 max_replans,
                 seed: queue_seed,
                 ..AdmissionConfig::default()
             },
         );
-        let outcomes = queue.admit(&build(&env), now);
-
-        // Worker count is a performance knob, not a semantic one.
-        let twin_queue = AdmissionQueue::new(
-            &twin.coordinator,
-            AdmissionConfig {
-                workers: workers % 8 + 1,
-                max_replans,
-                seed: queue_seed,
-                ..AdmissionConfig::default()
-            },
-        );
-        let twin_outcomes = twin_queue.admit(&build(&twin), now);
-        prop_assert_eq!(outcomes.len(), twin_outcomes.len());
-        for (a, b) in outcomes.iter().zip(&twin_outcomes) {
-            prop_assert_eq!(a.is_admitted(), b.is_admitted());
-            if let (Some(ae), Some(be)) = (a.session(), b.session()) {
-                prop_assert_eq!(ae.plan.rank, be.plan.rank);
-            }
-        }
+        let outcomes = queue.admit(&requests, now);
 
         // No broker over-commits: availability never goes negative (a
         // reservation beyond capacity) and never exceeds capacity (a

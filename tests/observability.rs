@@ -454,7 +454,6 @@ fn batched_admission_phase_timings_replay_exactly() {
         sample_period: Some(30.0),
         batch_arrivals: Some(qosr::sim::BatchArrivals {
             size: 8,
-            workers: 4,
             max_replans: 2,
         }),
         ..Default::default()
@@ -474,7 +473,7 @@ fn batched_admission_phase_timings_replay_exactly() {
             .map_or(0, |h| h.count());
         assert_eq!(live, replayed, "phase {}", phase.name());
     }
-    // Worker-parallel planning must still time every planned request.
+    // Batched planning must still time every planned request.
     assert!(timers.histogram(Phase::Plan).count() > 0);
 
     // The queue-depth gauges were sampled during the run.

@@ -32,14 +32,12 @@ use std::net::{SocketAddr, TcpStream};
 const WORLD_SEED: u64 = 0xC0FFEE;
 const CAPACITY: (f64, f64) = (1000.0, 4000.0);
 const PIPELINE_SEED: u64 = 0x5eed;
-const WORKERS: usize = 4;
 
 fn paper_opts() -> ServeOptions {
     ServeOptions {
         world: WorldKind::Paper,
         world_seed: WORLD_SEED,
         capacity: CAPACITY,
-        workers: WORKERS,
         seed: PIPELINE_SEED,
         ..ServeOptions::default()
     }
@@ -154,7 +152,6 @@ fn server_outcomes_match_in_process_admission() {
     let queue = AdmissionQueue::new(
         &env.coordinator,
         AdmissionConfig {
-            workers: WORKERS,
             seed: PIPELINE_SEED,
             ..AdmissionConfig::default()
         },
