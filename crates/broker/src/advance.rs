@@ -14,15 +14,23 @@
 //!
 //! Two timeline representations coexist:
 //!
-//! * [`Timeline`] — the original linear delta map. Window queries scan
-//!   every breakpoint; kept as the **differential-testing oracle** (see
-//!   `tests/advance_properties.rs`) and for small registries.
+//! * [`Timeline`] — the original linear delta map (a `BTreeMap` of
+//!   `time → delta`). Window queries scan every breakpoint; kept as the
+//!   **differential-testing oracle** (see `tests/advance_properties.rs`).
 //! * [`TimelineIndex`] — a balanced search tree (treap) over the same
 //!   delta profile, augmented with subtree delta sums and maximum
-//!   prefix sums, making point levels, window maxima, and range
-//!   adds all O(log n) in the number of breakpoints. This is what
-//!   [`TimelineBroker`] runs on; `benches/advance.rs` pins the speedup
-//!   at a million bookings.
+//!   prefix sums, making point levels, window maxima, successor
+//!   queries and range adds all O(log n) in the number of breakpoints.
+//!   This is the only structure [`TimelineBroker`] keeps;
+//!   `benches/advance.rs` pins the speedup at a million bookings.
+//!
+//! A planner that walks the profile in time order does so through
+//! `TimelineIndex::cursor`: one `(time, reserved level)` step per pull,
+//! O(log n) each, so a walk costs what it consumes — not the distance
+//! to the end of the horizon. Planning and committing happen under one
+//! acquisition of the broker's lock (`TimelineBroker::lock`): the
+//! planner reads the index behind the guard and books through the same
+//! guard, so no other booking can land between validation and install.
 //!
 //! Booking goes through the request/outcome API in
 //! [`malleable`](crate::malleable): build an
@@ -35,13 +43,13 @@ use crate::malleable::{
 };
 use crate::request::SpanCollector;
 use crate::{ReserveError, SessionId, SimTime};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use qosr_core::AvailabilityView;
 use qosr_model::{ResourceId, ResourceVector};
 use qosr_obs::{Counters, EventKind, NullSink, SpanKind, TraceEvent, TraceSink, Tracer};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Deltas at or below this magnitude are dropped: they separate two
 /// segments at (numerically) the same level, so pruning them *is* the
@@ -215,6 +223,9 @@ impl IndexNode {
 ///   O(log n) total (the linear [`Timeline`] walks every breakpoint).
 /// * [`TimelineIndex::compact`] — folds expired breakpoints into the
 ///   base using cached subtree sums.
+/// * `next_after` / `cursor` (crate-internal) — the successor query and
+///   the step-at-a-time walk the malleable planner reads, O(log n) per
+///   step taken.
 ///
 /// Tree shape is deterministic in the breakpoint *set* (priorities are
 /// hashed from key bits), so query results do not depend on the order
@@ -280,13 +291,32 @@ impl TimelineIndex {
         node_cnt(&self.root)
     }
 
-    /// Breakpoint times strictly after `from`, ascending — the instants
-    /// where availability changes, used by the malleable planner to
-    /// enumerate candidate start times.
-    pub fn breakpoints_after(&self, from: SimTime) -> Vec<SimTime> {
-        let mut out = Vec::new();
-        Self::collect_after(&self.root, from, &mut out);
-        out
+    /// The first breakpoint strictly after `at`, in O(log n).
+    pub(crate) fn next_after(&self, at: SimTime) -> Option<SimTime> {
+        let mut node = &self.root;
+        let mut next = None;
+        while let Some(n) = node {
+            if n.key > at {
+                next = Some(n.key);
+                node = &n.left;
+            } else {
+                node = &n.right;
+            }
+        }
+        next
+    }
+
+    /// A cursor over the reserved-level steps from `from` onward:
+    /// `(from, level_at(from))`, then `(k, level_at(k))` for every later
+    /// breakpoint `k`, ascending; the last step extends indefinitely.
+    /// Each pull costs one successor query and one point level, so a
+    /// consumer pays O(log n) per step it *takes*, however many lie
+    /// beyond. Levels come from [`TimelineIndex::level_at`], never from
+    /// a running sum: the tree's float association is part of the
+    /// value.
+    pub(crate) fn cursor(&self, from: SimTime) -> impl Iterator<Item = (SimTime, f64)> + '_ {
+        std::iter::successors(Some(from), move |&at| self.next_after(at))
+            .map(move |at| (at, self.level_at(at)))
     }
 
     fn upsert(slot: &mut Option<Box<IndexNode>>, key: SimTime, amount: f64) {
@@ -415,19 +445,6 @@ impl TimelineIndex {
             Some(n)
         }
     }
-
-    fn collect_after(node: &Option<Box<IndexNode>>, from: SimTime, out: &mut Vec<SimTime>) {
-        let Some(n) = node else {
-            return;
-        };
-        if n.key > from {
-            Self::collect_after(&n.left, from, out);
-            out.push(n.key);
-            Self::collect_after(&n.right, from, out);
-        } else {
-            Self::collect_after(&n.right, from, out);
-        }
-    }
 }
 
 /// One booked window.
@@ -537,23 +554,20 @@ impl TimelineBroker {
         self.capacity - self.inner.lock().index.max_reserved(from, to)
     }
 
-    /// The availability profile from `from` onward: one `(time,
-    /// available)` entry per level change, starting at `from` itself,
-    /// ascending. The final entry's availability extends indefinitely.
-    /// This is the piecewise-constant input the malleable planner
-    /// sweeps.
-    pub fn availability_after(&self, from: SimTime) -> Vec<(SimTime, f64)> {
-        let inner = self.inner.lock();
-        let mut out = vec![(from, self.capacity - inner.index.level_at(from))];
-        for key in inner.index.breakpoints_after(from) {
-            out.push((key, self.capacity - inner.index.level_at(key)));
+    /// Takes the broker's lock for a plan-then-commit sequence: what
+    /// the planner reads through [`TimelineGuard::index`] is still true
+    /// when it books through the same guard. The lock is not
+    /// re-entrant — nothing called while the guard lives may go back to
+    /// this broker's locking methods.
+    pub(crate) fn lock(&self) -> TimelineGuard<'_> {
+        TimelineGuard {
+            broker: self,
+            inner: self.inner.lock(),
         }
-        out
     }
 
     /// Books `amount` over `[from, to)` for `session`; rejected if the
-    /// window's minimum availability cannot cover it. The checked core
-    /// behind both rigid and malleable booking.
+    /// window's minimum availability cannot cover it.
     pub(crate) fn reserve_window(
         &self,
         session: SessionId,
@@ -561,48 +575,13 @@ impl TimelineBroker {
         from: SimTime,
         to: SimTime,
     ) -> Result<(), ReserveError> {
-        if !amount.is_finite() || amount <= 0.0 {
-            return Err(ReserveError::InvalidAmount {
-                resource: self.resource,
-                amount,
-            });
-        }
-        let mut inner = self.inner.lock();
-        let available = self.capacity - inner.index.max_reserved(from, to);
-        if amount > available {
-            return Err(ReserveError::Insufficient {
-                resource: self.resource,
-                requested: amount,
-                available,
-            });
-        }
-        inner.index.add(from, to, amount);
-        inner
-            .ledger
-            .entry(session)
-            .or_default()
-            .push(Booking { from, to, amount });
-        Ok(())
+        self.lock().reserve_window(session, amount, from, to)
     }
 
-    /// Adds bookings without an admission check. Two callers rely on
-    /// this: preempt-and-repack rollback (restoring state that was
-    /// provably admitted before) and the water-fill planner (which
-    /// validates every segment against one pre-booking snapshot, then
-    /// commits the whole profile).
+    /// Puts back bookings that were provably admitted before
+    /// (preempt-and-repack rollback), without an admission check.
     pub(crate) fn restore(&self, session: SessionId, bookings: &[Booking]) {
-        if bookings.is_empty() {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        for b in bookings {
-            inner.index.add(b.from, b.to, b.amount);
-        }
-        inner
-            .ledger
-            .entry(session)
-            .or_default()
-            .extend_from_slice(bookings);
+        self.lock().install(session, bookings);
     }
 
     /// Cancels every booking of `session`, reporting the released
@@ -649,6 +628,62 @@ impl TimelineBroker {
     }
 }
 
+/// One [`TimelineBroker`], locked: the index to plan against and the
+/// two ways to book on it (see [`TimelineBroker::lock`]).
+pub(crate) struct TimelineGuard<'a> {
+    broker: &'a TimelineBroker,
+    inner: MutexGuard<'a, TimelineInner>,
+}
+
+impl TimelineGuard<'_> {
+    /// The reservation index, as of this acquisition.
+    pub(crate) fn index(&self) -> &TimelineIndex {
+        &self.inner.index
+    }
+
+    /// The checked booking path behind both rigid and constant-rate
+    /// malleable booking.
+    pub(crate) fn reserve_window(
+        &mut self,
+        session: SessionId,
+        amount: f64,
+        from: SimTime,
+        to: SimTime,
+    ) -> Result<(), ReserveError> {
+        let resource = self.broker.resource;
+        if !amount.is_finite() || amount <= 0.0 {
+            return Err(ReserveError::InvalidAmount { resource, amount });
+        }
+        let available = self.broker.capacity - self.inner.index.max_reserved(from, to);
+        if amount > available {
+            return Err(ReserveError::Insufficient {
+                resource,
+                requested: amount,
+                available,
+            });
+        }
+        self.install(session, &[Booking { from, to, amount }]);
+        Ok(())
+    }
+
+    /// Adds bookings without an admission check: the caller has
+    /// validated them against this same guard, or is restoring state
+    /// that was admitted before.
+    pub(crate) fn install(&mut self, session: SessionId, bookings: &[Booking]) {
+        if bookings.is_empty() {
+            return;
+        }
+        for b in bookings {
+            self.inner.index.add(b.from, b.to, b.amount);
+        }
+        self.inner
+            .ledger
+            .entry(session)
+            .or_default()
+            .extend_from_slice(bookings);
+    }
+}
+
 /// One evicted session's bookings, grouped per resource, kept so a
 /// failed repack can restore them exactly.
 type SavedSession = (SessionId, Vec<(ResourceId, Vec<Booking>)>);
@@ -668,10 +703,12 @@ pub struct AdvanceRegistry {
     /// Advance booking/repack/reject counters (private instance by
     /// default; share one via [`AdvanceRegistry::set_counters`]).
     counters: Arc<Counters>,
-    /// Request tracer for span trees of traced advance requests
-    /// (disabled private instance by default; share a coordinator's via
-    /// [`AdvanceRegistry::set_tracer`]).
-    tracer: Arc<Tracer>,
+    /// Request tracer for span trees of traced advance requests: a
+    /// shared one ([`AdvanceRegistry::set_tracer`]) or a private one
+    /// built when [`AdvanceRegistry::tracer`] first asks for it. Empty
+    /// means disabled — a registry nobody traces never pays for the
+    /// tracer's histograms and flight ring.
+    tracer: OnceLock<Arc<Tracer>>,
 }
 
 impl Default for AdvanceRegistry {
@@ -681,7 +718,7 @@ impl Default for AdvanceRegistry {
             malleable: Mutex::new(HashMap::new()),
             sink: Arc::new(NullSink),
             counters: Arc::new(Counters::new()),
-            tracer: Arc::new(Tracer::default()),
+            tracer: OnceLock::new(),
         }
     }
 }
@@ -708,13 +745,14 @@ impl AdvanceRegistry {
     /// requests land in the same flight ring and span histograms as
     /// session admissions.
     pub fn set_tracer(&mut self, tracer: Arc<Tracer>) {
-        self.tracer = tracer;
+        self.tracer = OnceLock::from(tracer);
     }
 
-    /// The registry's request tracer (a disabled private instance
-    /// unless one was shared via [`AdvanceRegistry::set_tracer`]).
+    /// The registry's request tracer (a private instance, disabled
+    /// until switched on, unless one was shared via
+    /// [`AdvanceRegistry::set_tracer`]).
     pub fn tracer(&self) -> &Arc<Tracer> {
-        &self.tracer
+        self.tracer.get_or_init(Arc::default)
     }
 
     /// Registers a broker under its resource id.
@@ -765,10 +803,9 @@ impl AdvanceRegistry {
     /// `now` stamps trace events and floors malleable start times.
     pub fn book(&self, request: &AdvanceRequest, now: SimTime) -> AdvanceOutcome {
         let session = request.session();
-        let mut collector = match request.trace {
-            Some(ctx) if self.tracer.enabled() => Some(SpanCollector::new(ctx)),
-            _ => None,
-        };
+        // A tracer nobody built or shared is a disabled one.
+        let tracer = self.tracer.get().filter(|t| t.enabled());
+        let mut collector = tracer.and(request.trace).map(SpanCollector::new);
         let outcome = match request.shape() {
             AdvanceShape::Rigid { demand, from, to } => {
                 let (from, to) = (*from, *to);
@@ -848,7 +885,7 @@ impl AdvanceRegistry {
                 outcome
             }
         };
-        if let Some(collector) = collector {
+        if let Some((collector, tracer)) = collector.zip(tracer) {
             let (label, psi) = match &outcome {
                 AdvanceOutcome::Booked { profile } | AdvanceOutcome::Repacked { profile, .. } => {
                     (qosr_obs::trace::OUTCOME_COMMITTED, Some(profile.psi))
@@ -856,7 +893,7 @@ impl AdvanceRegistry {
                 AdvanceOutcome::Rejected { .. } => (qosr_obs::trace::OUTCOME_REJECTED, None),
             };
             let trace = collector.finish_with(label, Some(session.0), None, psi, "advance");
-            self.tracer.record(trace, self.sink.as_ref(), now.value());
+            tracer.record(trace, self.sink.as_ref(), now.value());
         }
         outcome
     }
@@ -1114,6 +1151,7 @@ impl AdvanceRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(x: f64) -> SimTime {
         SimTime::new(x)
@@ -1268,21 +1306,133 @@ mod tests {
         assert!(b.bookings_of(SessionId(1)).is_empty());
     }
 
+    /// The eager list the cursor replaced, kept as its reference: every
+    /// breakpoint after `from` by an in-order walk of the whole tree,
+    /// each with its own `level_at`.
+    fn eager_steps(index: &TimelineIndex, from: SimTime) -> Vec<(SimTime, f64)> {
+        fn collect_after(node: &Option<Box<IndexNode>>, from: SimTime, out: &mut Vec<SimTime>) {
+            let Some(n) = node else {
+                return;
+            };
+            if n.key > from {
+                collect_after(&n.left, from, out);
+                out.push(n.key);
+                collect_after(&n.right, from, out);
+            } else {
+                collect_after(&n.right, from, out);
+            }
+        }
+        let mut keys = vec![from];
+        collect_after(&index.root, from, &mut keys);
+        keys.into_iter()
+            .map(|key| (key, index.level_at(key)))
+            .collect()
+    }
+
     #[test]
     fn availability_after_lists_breakpoint_levels() {
         let b = TimelineBroker::new(ResourceId(0), 100.0);
         b.reserve_window(SessionId(1), 60.0, t(10.0), t(20.0))
             .unwrap();
+        let timeline = b.lock();
+        let available = |from| -> Vec<(SimTime, f64)> {
+            timeline
+                .index()
+                .cursor(from)
+                .map(|(at, reserved)| (at, b.capacity() - reserved))
+                .collect()
+        };
         assert_eq!(
-            b.availability_after(t(0.0)),
+            available(t(0.0)),
             vec![(t(0.0), 100.0), (t(10.0), 40.0), (t(20.0), 100.0)]
         );
         // A query origin inside a segment sees that segment's level.
-        assert_eq!(
-            b.availability_after(t(15.0)),
-            vec![(t(15.0), 40.0), (t(20.0), 100.0)]
-        );
-        assert_eq!(b.breakpoints(), 2);
+        assert_eq!(available(t(15.0)), vec![(t(15.0), 40.0), (t(20.0), 100.0)]);
+        // On a breakpoint the origin is that step; past the last one it
+        // is the only step.
+        assert_eq!(available(t(10.0)), vec![(t(10.0), 40.0), (t(20.0), 100.0)]);
+        assert_eq!(available(t(20.0)), vec![(t(20.0), 100.0)]);
+        assert_eq!(timeline.index().next_after(t(10.0)), Some(t(20.0)));
+        assert_eq!(timeline.index().next_after(t(20.0)), None);
+        assert_eq!(timeline.index().breakpoints(), 2);
+    }
+
+    #[derive(Debug, Clone)]
+    enum IxOp {
+        Add { from: f64, len: f64, amount: f64 },
+        Remove { pick: usize },
+        Compact { at: f64 },
+    }
+
+    fn ix_op() -> impl Strategy<Value = IxOp> {
+        prop_oneof![
+            5 => (0.0f64..60.0, 0.01f64..20.0, 0.001f64..64.0)
+                .prop_map(|(from, len, amount)| IxOp::Add { from, len, amount }),
+            2 => (0usize..64).prop_map(|pick| IxOp::Remove { pick }),
+            1 => (0.0f64..40.0).prop_map(|at| IxOp::Compact { at }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases_from_env(128))]
+
+        /// After every operation of a random add / remove / compact
+        /// sequence with non-integer amounts and times, the cursor
+        /// yields the eager list bit for bit — from before the first
+        /// breakpoint, on every breakpoint, between every two, and
+        /// after the last.
+        #[test]
+        fn cursor_matches_eager_list_bitwise(ops in prop::collection::vec(ix_op(), 1..48)) {
+            let bits = |steps: Vec<(SimTime, f64)>| -> Vec<(u64, u64)> {
+                steps
+                    .into_iter()
+                    .map(|(at, level)| (at.value().to_bits(), level.to_bits()))
+                    .collect()
+            };
+            let mut ix = TimelineIndex::new();
+            let mut live: Vec<(SimTime, SimTime, f64)> = Vec::new();
+            for op in &ops {
+                match *op {
+                    IxOp::Add { from, len, amount } => {
+                        let (from, to) = (t(from), t(from + len));
+                        ix.add(from, to, amount);
+                        live.push((from, to, amount));
+                    }
+                    IxOp::Remove { pick } => {
+                        if !live.is_empty() {
+                            let (from, to, amount) = live.swap_remove(pick % live.len());
+                            ix.remove(from, to, amount);
+                        }
+                    }
+                    IxOp::Compact { at } => {
+                        ix.compact(t(at));
+                        live.retain(|&(_, to, _)| to > t(at));
+                    }
+                }
+                // Every time is >= 0, so -1 lies before the first
+                // breakpoint and its eager list names them all.
+                let before = t(-1.0);
+                let keys: Vec<SimTime> =
+                    eager_steps(&ix, before).into_iter().skip(1).map(|(at, _)| at).collect();
+                prop_assert_eq!(keys.len(), ix.breakpoints());
+                let mut origins = vec![before];
+                for pair in keys.windows(2) {
+                    origins.push(pair[0]);
+                    origins.push(t((pair[0].value() + pair[1].value()) / 2.0));
+                }
+                if let Some(&last) = keys.last() {
+                    origins.push(last);
+                    origins.push(last + 1.0);
+                }
+                for from in origins {
+                    prop_assert_eq!(
+                        bits(ix.cursor(from).collect()),
+                        bits(eager_steps(&ix, from)),
+                        "cursor from {:?}", from
+                    );
+                }
+            }
+        }
     }
 
     #[test]

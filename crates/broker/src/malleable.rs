@@ -28,8 +28,26 @@
 //! `min_rate`, until the volume is moved or the deadline passes. When
 //! even that fails, the same water-fill without a deadline yields the
 //! `nearest_feasible_deadline` hint carried by the rejection.
+//!
+//! All three read the availability steps from the timeline index's
+//! cursor, one O(log n) pull at a time, and stop pulling as soon as
+//! they can: the sweep at the first candidate that fits
+//! ([`AlphaPolicy::Ignore`]) or at the deadline
+//! ([`AlphaPolicy::Tradeoff`]), the bounded water-fill at the deadline,
+//! the unbounded one at the step that completes the volume. A transfer
+//! admitted at its first candidate costs the same with ten breakpoints
+//! beyond its start as with a hundred thousand. Planning and commit
+//! share one acquisition of the broker's lock, so the profile that was
+//! validated is the profile that is installed.
+//!
+//! A transfer can be too small to book: when `volume / rate` is below
+//! the resolution of `f64` time at the start, the window it implies is
+//! empty. Such a constant-rate candidate does not fit, such a
+//! water-fill residue completes the transfer without a segment of its
+//! own, and a plan left with no segment at all is rejected as an
+//! invalid amount.
 
-use crate::advance::{Booking, TimelineBroker};
+use crate::advance::{Booking, TimelineBroker, TimelineIndex};
 use crate::error::ReserveError;
 use crate::request::{AlphaPolicy, TraceCtx};
 use crate::time::{SessionId, SimTime};
@@ -408,9 +426,20 @@ pub(crate) fn book_malleable(
     }
 
     let start = spec.earliest.max(now);
-    let avail = broker.availability_after(start);
+    let capacity = broker.capacity();
+    // One acquisition of the broker's lock covers planning and commit:
+    // every read below goes to the index behind this guard and the
+    // booking goes through the same guard, so what was validated is
+    // what is installed, whoever else is booking.
+    let mut timeline = broker.lock();
+    let index = timeline.index();
+    let steps = || {
+        index
+            .cursor(start)
+            .map(move |(at, reserved)| (at, capacity - reserved))
+    };
     if start >= spec.deadline {
-        let (_, _, _, nearest) = water_fill(&avail, start, None, spec);
+        let (_, _, _, nearest) = water_fill(steps(), start, None, spec);
         return Err((
             ReserveError::Insufficient {
                 resource: spec.resource,
@@ -421,55 +450,46 @@ pub(crate) fn book_malleable(
         ));
     }
 
-    // Constant-rate sweep: one candidate anchored at `start`, one at
-    // every availability breakpoint before the deadline.
-    let mut best: Option<(SimTime, f64, SimTime, f64)> = None;
-    'candidates: for &(s, _) in avail.iter().filter(|&&(s, _)| s < spec.deadline) {
-        let Some((rate, end, psi)) = constant_rate_at(broker, spec, s) else {
-            continue;
-        };
-        match spec.policy {
-            AlphaPolicy::Ignore => {
-                best = Some((s, rate, end, psi));
-                break 'candidates;
-            }
-            AlphaPolicy::Tradeoff => {
-                if best.is_none_or(|(_, _, _, best_psi)| psi < best_psi) {
-                    best = Some((s, rate, end, psi));
-                }
-            }
-        }
-    }
-    if let Some((s, rate, end, psi)) = best {
-        broker
-            .reserve_window(session, rate, s, end)
+    if let Some((segment, psi)) =
+        constant_rate_sweep(steps().map(|(at, _)| at), index, capacity, spec)
+    {
+        timeline
+            .reserve_window(session, segment.rate, segment.from, segment.to)
             .map_err(|e| (e, None))?;
         return Ok(AdvanceProfile {
             resource: Some(spec.resource),
-            start: s,
-            end,
-            volume: rate * end.since(s),
+            start: segment.from,
+            end: segment.to,
+            volume: segment.volume(),
             psi,
-            segments: vec![RateSegment {
-                from: s,
-                to: end,
-                rate,
-            }],
+            segments: vec![segment],
         });
     }
 
     // Variable-rate fallback: water-fill each availability step up to
     // the deadline.
     let (segments, achieved, max_psi, completion) =
-        water_fill(&avail, start, Some(spec.deadline), spec);
+        water_fill(steps(), start, Some(spec.deadline), spec);
     if let Some(end) = completion {
-        // Validate every segment against the same pre-booking snapshot,
+        let Some(first) = segments.first() else {
+            // The whole volume is below what the clock can resolve at
+            // `start`: there is no window to book it over.
+            return Err((
+                ReserveError::InvalidAmount {
+                    resource: spec.resource,
+                    amount: spec.volume,
+                },
+                None,
+            ));
+        };
+        let plan_start = first.from;
+        // Validate every segment against the same pre-booking index,
         // then install unchecked: the segments are time-disjoint, so
         // one-snapshot validation is exact, whereas booking them
         // sequentially through the checked path could trip over
         // ulp-level drift in the running level at shared breakpoints.
         for seg in &segments {
-            let seg_avail = broker.available_over(seg.from, seg.to);
+            let seg_avail = capacity - index.max_reserved(seg.from, seg.to);
             if seg.rate > seg_avail {
                 return Err((
                     ReserveError::Insufficient {
@@ -489,8 +509,7 @@ pub(crate) fn book_malleable(
                 amount: seg.rate,
             })
             .collect();
-        broker.restore(session, &bookings);
-        let plan_start = segments.first().map_or(start, |seg| seg.from);
+        timeline.install(session, &bookings);
         return Ok(AdvanceProfile {
             resource: Some(spec.resource),
             start: plan_start,
@@ -503,7 +522,7 @@ pub(crate) fn book_malleable(
 
     // Infeasible by the deadline: rerun the water-fill unbounded to
     // report when the transfer *would* complete.
-    let (_, _, _, nearest) = water_fill(&avail, start, None, spec);
+    let (_, _, _, nearest) = water_fill(steps(), start, None, spec);
     Err((
         ReserveError::Insufficient {
             resource: spec.resource,
@@ -514,16 +533,38 @@ pub(crate) fn book_malleable(
     ))
 }
 
+/// Constant-rate sweep: one candidate profile anchored at each of
+/// `candidates` (step starts, ascending) that lies before the deadline.
+/// [`AlphaPolicy::Ignore`] takes the first that fits and pulls no
+/// further; [`AlphaPolicy::Tradeoff`] pulls up to the deadline and takes
+/// the lowest ψ, the earliest on ties. Returns the profile's single
+/// segment and its ψ.
+fn constant_rate_sweep(
+    candidates: impl Iterator<Item = SimTime>,
+    index: &TimelineIndex,
+    capacity: f64,
+    spec: &MalleableSpec,
+) -> Option<(RateSegment, f64)> {
+    let mut fits = candidates
+        .take_while(|&s| s < spec.deadline)
+        .filter_map(|s| constant_rate_at(index, capacity, spec, s));
+    match spec.policy {
+        AlphaPolicy::Ignore => fits.next(),
+        AlphaPolicy::Tradeoff => fits.reduce(|best, c| if c.1 < best.1 { c } else { best }),
+    }
+}
+
 /// Fixed-point search for a constant-rate profile starting at `s`:
 /// guess a rate, measure availability over the implied window, clamp,
-/// repeat until the rate is self-consistent. Returns
-/// `(rate, end, psi)` or `None` when no constant rate from `s` can
-/// finish by the deadline.
+/// repeat until the rate is self-consistent. Returns the segment and
+/// its ψ, or `None` when no constant rate from `s` can finish by the
+/// deadline.
 fn constant_rate_at(
-    broker: &TimelineBroker,
+    index: &TimelineIndex,
+    capacity: f64,
     spec: &MalleableSpec,
     s: SimTime,
-) -> Option<(f64, SimTime, f64)> {
+) -> Option<(RateSegment, f64)> {
     let horizon = spec.deadline.since(s);
     if horizon <= 0.0 {
         return None;
@@ -531,7 +572,7 @@ fn constant_rate_at(
     // Any feasible rate must reach `volume` by the deadline and respect
     // the request's floor.
     let floor = spec.min_rate.max(spec.volume / horizon);
-    let mut rate = spec.max_rate.min(broker.capacity());
+    let mut rate = spec.max_rate.min(capacity);
     for _ in 0..64 {
         if rate <= 0.0 || rate < floor {
             return None;
@@ -544,48 +585,61 @@ fn constant_rate_at(
         if end > spec.deadline {
             return None;
         }
-        let avail = broker.available_over(s, end);
+        let avail = capacity - index.max_reserved(s, end);
         let usable = avail.min(spec.max_rate);
         if rate <= usable {
             // Self-consistent: the window the rate implies really does
             // offer that rate. `rate <= avail` bitwise, so the checked
             // booking path accepts it without any epsilon slack.
+            if end <= s {
+                // …but `volume / rate` is below the time resolution at
+                // `s`, so there is no window to book.
+                return None;
+            }
             let psi = if avail > 0.0 {
                 rate / avail
             } else {
                 f64::INFINITY
             };
-            return Some((rate, end, psi));
+            let segment = RateSegment {
+                from: s,
+                to: end,
+                rate,
+            };
+            return Some((segment, psi));
         }
         rate = usable;
     }
     None
 }
 
-/// Greedy water-fill over the availability steps from `start`: run each
-/// step at `min(availability, max_rate)`, pause through steps below
-/// `min_rate`, stop at `deadline` (or never, when `None` — used for the
-/// nearest-feasible-deadline probe). Returns
+/// Greedy water-fill over the availability `steps` from `start` (the
+/// cursor's `(time, available)` entries, pulled one at a time and
+/// peeked one ahead for each step's end): run each step at
+/// `min(availability, max_rate)`, pause through steps below `min_rate`,
+/// stop at `deadline` (or, when `None` — the nearest-feasible-deadline
+/// probe — at the step that completes the volume). Returns
 /// `(segments, achieved_volume, max_psi, completion_time)`;
 /// `completion_time` is `None` when the volume cannot be moved.
 fn water_fill(
-    avail: &[(SimTime, f64)],
+    steps: impl Iterator<Item = (SimTime, f64)>,
     start: SimTime,
     deadline: Option<SimTime>,
     spec: &MalleableSpec,
 ) -> (Vec<RateSegment>, f64, f64, Option<SimTime>) {
+    let mut steps = steps.peekable();
     let mut segments: Vec<RateSegment> = Vec::new();
     let mut achieved = 0.0_f64;
     let mut max_psi = 0.0_f64;
     let mut remaining = spec.volume;
-    for (i, &(step_start, step_avail)) in avail.iter().enumerate() {
+    while let Some((step_start, step_avail)) = steps.next() {
         if deadline.is_some_and(|d| step_start >= d) {
             break;
         }
         let seg_start = step_start.max(start);
         // Upper bound of this step, clipped to the deadline; `None`
         // marks the unbounded final step.
-        let bound = match (avail.get(i + 1).map(|&(next, _)| next), deadline) {
+        let bound = match (steps.peek().map(|&(next, _)| next), deadline) {
             (Some(next), Some(d)) => Some(next.min(d)),
             (Some(next), None) => Some(next),
             (None, d) => d,
@@ -618,13 +672,18 @@ fn water_fill(
                 let duration = remaining / rate;
                 let e = SimTime::new(seg_start.value() + duration);
                 let e = bound.map_or(e, |b| e.min(b));
-                segments.push(RateSegment {
-                    from: seg_start,
-                    to: e,
-                    rate,
-                });
+                // A residue below the time resolution at `seg_start`
+                // is moved in no time: it completes the transfer
+                // without a (zero-length) segment of its own.
+                if e > seg_start {
+                    segments.push(RateSegment {
+                        from: seg_start,
+                        to: e,
+                        rate,
+                    });
+                    max_psi = max_psi.max(rate / step_avail);
+                }
                 achieved += remaining;
-                max_psi = max_psi.max(rate / step_avail);
                 return (segments, achieved, max_psi, Some(e));
             }
         }
@@ -852,13 +911,151 @@ mod tests {
         assert_eq!(broker.available_over(t(10.0), t(20.0)), 10.0);
     }
 
-    #[test]
-    fn registry_repack_moves_malleable_sessions() {
+    fn registry(capacity: f64) -> AdvanceRegistry {
         let mut registry = AdvanceRegistry::new();
         registry.register(std::sync::Arc::new(TimelineBroker::new(
             ResourceId(0),
-            10.0,
+            capacity,
         )));
+        registry
+    }
+
+    #[test]
+    fn volume_below_the_time_resolution_books_nothing() {
+        // 1e-9 units at up to 3,000 per TU take 3e-13 TU; one ulp of
+        // time at t = 1e6 is 1.2e-10, so every window the planner can
+        // form is empty. It must say so, not book `[s, s)`.
+        let registry = registry(3000.0);
+        let request =
+            AdvanceRequest::malleable(SessionId(1), ResourceId(0), 1e-9, t(2e6)).earliest(t(1e6));
+        match registry.book(&request, t(0.0)) {
+            AdvanceOutcome::Rejected {
+                error,
+                nearest_feasible_deadline,
+            } => {
+                assert_eq!(
+                    error,
+                    ReserveError::InvalidAmount {
+                        resource: ResourceId(0),
+                        amount: 1e-9
+                    }
+                );
+                assert_eq!(nearest_feasible_deadline, None);
+            }
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+        let broker = registry.get(ResourceId(0)).expect("registered");
+        assert!(broker.bookings_of(SessionId(1)).is_empty());
+        assert_eq!(broker.breakpoints(), 0);
+    }
+
+    #[test]
+    fn water_fill_residue_adds_no_zero_length_segment() {
+        // Availability 2 / 5 / 1 over three 10-TU steps from t = 1e6 and
+        // one ulp more than 70 units to move by their end: no constant
+        // rate fits, the first two steps move 20 + 50, and the 1.4e-14
+        // left over takes no representable time in the third.
+        let registry = registry(10.0);
+        let base = 1e6;
+        for (i, reserved) in [8.0, 5.0, 9.0].into_iter().enumerate() {
+            let from = t(base + 10.0 * i as f64);
+            let demand = ResourceVector::from_pairs([(ResourceId(0), reserved)]).expect("demand");
+            let obstacle =
+                AdvanceRequest::rigid(SessionId(90 + i as u64), demand, from, from + 10.0);
+            assert!(registry.book(&obstacle, t(0.0)).is_booked());
+        }
+        let volume = f64::from_bits(70f64.to_bits() + 1);
+        let request =
+            AdvanceRequest::malleable(SessionId(1), ResourceId(0), volume, t(base + 30.0))
+                .earliest(t(base));
+        let outcome = registry.book(&request, t(0.0));
+        let profile = outcome.profile().expect("water-filled");
+        assert_eq!(
+            profile.segments,
+            vec![
+                RateSegment {
+                    from: t(base),
+                    to: t(base + 10.0),
+                    rate: 2.0
+                },
+                RateSegment {
+                    from: t(base + 10.0),
+                    to: t(base + 20.0),
+                    rate: 5.0
+                },
+            ]
+        );
+        assert_eq!(profile.end, t(base + 20.0));
+        assert_eq!(profile.volume, 70.0);
+        assert_eq!(profile.psi, 1.0);
+        let broker = registry.get(ResourceId(0)).expect("registered");
+        assert_eq!(broker.bookings_of(SessionId(1)).len(), 2);
+        assert_eq!(broker.available_over(t(base), t(base + 20.0)), 0.0);
+        assert_eq!(broker.available_over(t(base + 20.0), t(base + 30.0)), 1.0);
+    }
+
+    /// The planner's cost is per step *consumed*: counted, not timed,
+    /// on an index with 100,000 breakpoints beyond the request's start.
+    #[test]
+    fn planner_pulls_only_the_steps_it_consumes() {
+        use std::cell::Cell;
+
+        // 50,000 separated windows of differing heights from t = 10:
+        // breakpoints at 10, 11, 12, … — 100,000 of them.
+        let capacity = 100.0;
+        let mut index = TimelineIndex::new();
+        for i in 0..50_000 {
+            let from = t(10.0 + 2.0 * f64::from(i));
+            index.add(from, from + 1.0, 1.5 + f64::from(i % 7));
+        }
+        assert_eq!(index.breakpoints(), 100_000);
+        let start = t(0.0);
+        let pulls = Cell::new(0usize);
+        let steps = || {
+            pulls.set(0);
+            index
+                .cursor(start)
+                .map(|(at, reserved)| (at, capacity - reserved))
+                .inspect(|_| pulls.set(pulls.get() + 1))
+        };
+
+        // A transfer the first candidate admits never looks further.
+        let small = spec(50.0, 150_000.0);
+        let (segment, _) = constant_rate_sweep(steps().map(|(at, _)| at), &index, capacity, &small)
+            .expect("the first candidate fits");
+        assert_eq!(segment.from, start);
+        assert!(pulls.get() <= 2, "sweep pulled {} steps", pulls.get());
+
+        // A water-fill that runs into its deadline k breakpoints away
+        // pulls the origin, those k, and the one that tells it to stop.
+        let k = 1_000;
+        let hopeless = spec(1e9, 9.5 + k as f64);
+        let (segments, _, _, completion) =
+            water_fill(steps(), start, Some(hopeless.deadline), &hopeless);
+        assert_eq!(completion, None);
+        assert_eq!(segments.len(), k + 1);
+        assert!(
+            pulls.get() <= k + 2,
+            "water-fill pulled {} steps",
+            pulls.get()
+        );
+
+        // The unbounded probe stops at the step that completes the
+        // volume (peeking one ahead for that step's end): 1e6 units at
+        // ~97 per TU is a tenth of the way through the breakpoints.
+        let (segments, _, _, completion) = water_fill(steps(), start, None, &spec(1e6, 1.0));
+        assert!(completion.is_some_and(|end| end < t(11_000.0)));
+        assert!(
+            pulls.get() <= segments.len() + 1,
+            "the probe pulled {} steps for {} segments",
+            pulls.get(),
+            segments.len()
+        );
+    }
+
+    #[test]
+    fn registry_repack_moves_malleable_sessions() {
+        let registry = registry(10.0);
 
         // Malleable A books rate 4 over [0, 10).
         let a = AdvanceRequest::malleable(SessionId(1), ResourceId(0), 40.0, t(30.0)).max_rate(4.0);

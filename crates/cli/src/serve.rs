@@ -349,6 +349,11 @@ fn resolve_advance(def: &AdvanceDef, session: SessionId) -> Result<AdvanceReques
                 pairs.push((rid_of(rid)?, amount));
             }
             let demand = ResourceVector::from_pairs(pairs).map_err(|e| e.to_string())?;
+            if from >= to {
+                return Err(format!(
+                    "a rigid window needs from < to, got [{from}, {to})"
+                ));
+            }
             AdvanceRequest::rigid(session, demand, SimTime::new(from), SimTime::new(to))
         }
         (false, true) => {
@@ -1395,6 +1400,22 @@ mod tests {
         assert_eq!(id, Some(8));
 
         server.shutdown();
+    }
+
+    #[test]
+    fn rigid_advance_frames_need_a_non_empty_window() {
+        // `TimelineIndex` asserts on `[t, t)` and on inverted windows;
+        // a wire frame must never get that far.
+        for (from, to) in [(5.0, 5.0), (5.0, 4.0)] {
+            let def = AdvanceDef::rigid(1, vec![(0, 1.0)], from, to);
+            let error = resolve_advance(&def, SessionId(1)).unwrap_err();
+            assert!(error.contains("from < to"), "{error}");
+        }
+        assert!(resolve_advance(
+            &AdvanceDef::rigid(1, vec![(0, 1.0)], 4.0, 5.0),
+            SessionId(1)
+        )
+        .is_ok());
     }
 
     #[test]

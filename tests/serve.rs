@@ -22,7 +22,8 @@ use qosr::sim::services::ServiceOptions;
 use qosr::sim::PaperEnvironment;
 use qosr_cli::serve::{start, ServeOptions, WorldKind};
 use qosr_cli::wire::{
-    read_frame, write_frame, EstablishDef, OutcomeFrame, RequestFrame, ResponseFrame, StatsFrame,
+    read_frame, write_frame, AdvanceDef, EstablishDef, OutcomeFrame, RequestFrame, ResponseFrame,
+    StatsFrame,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -442,6 +443,61 @@ fn shutdown_drains_in_flight_batches() {
         }
     }
     server.wait();
+}
+
+/// Advance frames that used to reach `TimelineIndex::add` with an empty
+/// or inverted window — a panic on the admission thread, which every
+/// connection shares — are answered, and the server keeps serving.
+#[test]
+fn degenerate_advance_windows_are_answered_not_fatal() {
+    let server = start(&paper_opts()).expect("start server");
+    let mut client = Client::connect(server.addr());
+    // A dead admission thread answers nothing: fail, do not hang.
+    client
+        .writer
+        .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .expect("read timeout");
+    // The reader answers pings alone; `stats` needs the admission thread.
+    let still_serving = |client: &mut Client, id: u64| {
+        client.send(&RequestFrame::Ping { id });
+        assert_eq!(client.recv(), ResponseFrame::Pong { id });
+        client.stats(id + 1);
+    };
+
+    // A transfer whose volume takes less than one ulp of time at its
+    // earliest start: rejected as an invalid amount, nothing booked.
+    let mut def = AdvanceDef::malleable(1, 0, 1e-9, 2e6);
+    def.earliest = Some(1e6);
+    client.send(&RequestFrame::Advance(def));
+    match client.recv() {
+        ResponseFrame::Advance(outcome) => {
+            assert_eq!((outcome.id, outcome.status.as_str()), (1, "rejected"));
+            let error = outcome.error.expect("rejections carry the error");
+            assert!(error.contains("invalid amount"), "{error}");
+        }
+        other => panic!("expected an advance outcome, got {other:?}"),
+    }
+    still_serving(&mut client, 10);
+
+    // Rigid windows with `from == to` and `from > to`: error frames.
+    for (id, from, to) in [(2, 5.0, 5.0), (3, 5.0, 4.0)] {
+        client.send(&RequestFrame::Advance(AdvanceDef::rigid(
+            id,
+            vec![(0, 1.0)],
+            from,
+            to,
+        )));
+        match client.recv() {
+            ResponseFrame::Error { id: got, message } => {
+                assert_eq!(got, Some(id));
+                assert!(message.contains("from < to"), "{message}");
+            }
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+        still_serving(&mut client, 10 * id);
+    }
+
+    server.shutdown();
 }
 
 /// Many clients hammering concurrently: whatever interleaving the
