@@ -13,7 +13,9 @@
 use crate::oracle::best_embedding;
 use crate::synth::random_dag_scenario;
 use crate::table::TextTable;
-use qosr_core::{plan_dag, AvailabilityView, PlanError, Qrg, QrgOptions};
+use qosr_core::{AvailabilityView, PlanCtx, PlanError, Planner, QrgOptions};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Aggregate results over the corpus.
 #[derive(Debug, Clone, Default)]
@@ -45,14 +47,22 @@ pub fn run(n: u64) -> DagQualityReport {
         ..DagQualityReport::default()
     };
     let mut ratio_sum = 0.0;
+    let mut ctx = PlanCtx::new();
+    // The DAG heuristic never reads it.
+    let mut rng = StdRng::seed_from_u64(0);
     for seed in 0..n {
         let (session, space, avail) = random_dag_scenario(seed);
         let mut view = AvailabilityView::new();
         for (i, rid) in space.ids().enumerate() {
             view.set(rid, avail[i]);
         }
-        let qrg = Qrg::build(&session, &view, &QrgOptions::default());
-        match plan_dag(&qrg) {
+        match ctx.plan_session(
+            &session,
+            &view,
+            &QrgOptions::default(),
+            Planner::Dag,
+            &mut rng,
+        ) {
             Ok(plan) => {
                 report.success += 1;
                 let best =

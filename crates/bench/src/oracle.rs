@@ -123,15 +123,23 @@ pub fn best_embedding(session: &SessionInstance, view: &AvailabilityView) -> Opt
 mod tests {
     use super::*;
     use crate::synth::synthetic_chain;
-    use qosr_core::{plan_basic, Qrg, QrgOptions};
+    use qosr_core::{PlanCtx, Planner, QrgOptions};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn oracle_agrees_with_basic_on_chains() {
         for (k, q, avail) in [(2, 3, 50.0), (3, 3, 8.0), (4, 2, 100.0)] {
             let (session, space) = synthetic_chain(k, q);
             let view = AvailabilityView::from_fn(space.ids(), |_| avail);
-            let qrg = Qrg::build(&session, &view, &QrgOptions::default());
-            match (plan_basic(&qrg), best_embedding(&session, &view)) {
+            let planned = PlanCtx::new().plan_session(
+                &session,
+                &view,
+                &QrgOptions::default(),
+                Planner::Basic,
+                &mut StdRng::seed_from_u64(0),
+            );
+            match (planned, best_embedding(&session, &view)) {
                 (Ok(plan), Some(best)) => {
                     assert_eq!(plan.sink_level, best.sink_level, "k={k} q={q}");
                     assert!((plan.psi - best.psi).abs() < 1e-9);

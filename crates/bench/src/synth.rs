@@ -8,8 +8,7 @@ use std::sync::Arc;
 /// feasible), one compute slot per component bound to its own resource.
 ///
 /// Demands are deterministic smooth functions of `(component, i, o)` so
-/// different paths have different bottlenecks. Used by the `scaling`
-/// bench to exercise the O(K·Q²) complexity claim of §4.2.
+/// different paths have different bottlenecks.
 pub fn synthetic_chain(k: usize, q: usize) -> (SessionInstance, ResourceSpace) {
     synthetic_chain_multi(k, q, 1)
 }
@@ -238,15 +237,25 @@ pub fn random_dag_scenario(seed: u64) -> (SessionInstance, ResourceSpace, Vec<f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qosr_core::{plan_basic, AvailabilityView, Qrg, QrgOptions};
+    use qosr_core::{AvailabilityView, PlanCtx, Planner, QrgOptions, QrgSkeleton};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// A context prepared for `session` under uniform availability.
+    fn prepared(session: &SessionInstance, space: &ResourceSpace, avail: f64) -> PlanCtx {
+        let view = AvailabilityView::from_fn(space.ids(), |_| avail);
+        let mut ctx = PlanCtx::new();
+        ctx.prepare(session, &view, &QrgOptions::default());
+        ctx
+    }
 
     #[test]
     fn synthetic_chains_plan_successfully() {
         for (k, q) in [(1, 1), (3, 4), (8, 8)] {
             let (session, space) = synthetic_chain(k, q);
-            let view = AvailabilityView::from_fn(space.ids(), |_| 1000.0);
-            let qrg = Qrg::build(&session, &view, &QrgOptions::default());
-            let plan = plan_basic(&qrg).expect("ample availability");
+            let plan = prepared(&session, &space, 1000.0)
+                .plan(Planner::Basic, &mut StdRng::seed_from_u64(0))
+                .expect("ample availability");
             assert_eq!(plan.assignments.len(), k);
             // Highest level reachable with ample availability.
             assert_eq!(plan.sink_level, q - 1);
@@ -257,11 +266,9 @@ mod tests {
     fn node_count_scales_with_k_and_q() {
         let (s1, sp1) = synthetic_chain(2, 2);
         let (s2, sp2) = synthetic_chain(4, 8);
-        let v1 = AvailabilityView::from_fn(sp1.ids(), |_| 100.0);
-        let v2 = AvailabilityView::from_fn(sp2.ids(), |_| 100.0);
-        let q1 = Qrg::build(&s1, &v1, &QrgOptions::default());
-        let q2 = Qrg::build(&s2, &v2, &QrgOptions::default());
-        assert!(q2.n_nodes() > q1.n_nodes());
-        assert!(q2.n_translation_edges() > q1.n_translation_edges());
+        let nodes = |s: &SessionInstance| QrgSkeleton::build(s.service().clone()).n_nodes();
+        assert!(nodes(&s2) > nodes(&s1));
+        let edges = |ctx: PlanCtx| ctx.candidates().filter(|c| c.feasible).count();
+        assert!(edges(prepared(&s2, &sp2, 100.0)) > edges(prepared(&s1, &sp1, 100.0)));
     }
 }

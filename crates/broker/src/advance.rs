@@ -776,8 +776,9 @@ impl AdvanceRegistry {
     }
 
     /// An [`AvailabilityView`] of the guaranteed availability of every
-    /// resource over `[from, to)` — plug it into `Qrg::build` to plan an
-    /// advance reservation with any planner.
+    /// resource over `[from, to)` — plug it into
+    /// [`qosr_core::PlanCtx::prepare`] to plan an advance reservation
+    /// with any planner.
     pub fn snapshot_window(&self, from: SimTime, to: SimTime) -> AvailabilityView {
         let mut view = AvailabilityView::new();
         for broker in self.brokers.values() {
@@ -1553,8 +1554,9 @@ mod tests {
 
     #[test]
     fn planning_against_a_window_snapshot() {
-        use qosr_core::{plan_basic, Qrg, QrgOptions};
+        use qosr_core::{PlanCtx, Planner, QrgOptions};
         use qosr_model::*;
+        use rand::SeedableRng;
         use std::sync::Arc as StdArc;
 
         // One-component service over one resource.
@@ -1588,14 +1590,22 @@ mod tests {
             .reserve_window(SessionId(99), 70.0, t(10.0), t(20.0))
             .unwrap();
 
+        let mut ctx = PlanCtx::new();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        let mut plan = |view: &AvailabilityView| {
+            ctx.plan_session(
+                &session,
+                view,
+                &QrgOptions::default(),
+                Planner::Basic,
+                &mut rng,
+            )
+            .unwrap()
+        };
         // Planning for [12, 18): only level 1 fits (60 > 30).
-        let view = reg.snapshot_window(t(12.0), t(18.0));
-        let qrg = Qrg::build(&session, &view, &QrgOptions::default());
-        assert_eq!(plan_basic(&qrg).unwrap().rank, 1);
+        assert_eq!(plan(&reg.snapshot_window(t(12.0), t(18.0))).rank, 1);
         // Planning for [20, 30): level 2 fits.
-        let view = reg.snapshot_window(t(20.0), t(30.0));
-        let qrg = Qrg::build(&session, &view, &QrgOptions::default());
-        let plan = plan_basic(&qrg).unwrap();
+        let plan = plan(&reg.snapshot_window(t(20.0), t(30.0)));
         assert_eq!(plan.rank, 2);
         // Book it through the request API.
         let outcome = reg.book(

@@ -7,7 +7,7 @@
 //! recovering. The tradeoff planner (§4.3.1) consults the bottleneck's α
 //! to decide whether the best reachable QoS level is worth committing to
 //! or whether to step down to a less contended plan — see
-//! `qosr_core::plan_tradeoff`.
+//! [`qosr_core::Planner::Tradeoff`].
 
 use crate::SimTime;
 use std::collections::VecDeque;

@@ -1,40 +1,22 @@
 //! The CLI commands, exposed as functions so they can be tested without
 //! spawning a process.
 
-use crate::dto::{CompiledScenario, Scenario, ScenarioError};
-use qosr_core::{
-    plan_basic, plan_dag, plan_random, plan_tradeoff, relax, Qrg, QrgOptions, ReservationPlan,
-};
+use crate::dto::{check_availability, CompiledScenario, Scenario, ScenarioError};
+use qosr_core::{NodeRef, PlanCtx, Planner, QrgOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write;
 use std::path::Path;
 
-/// Which planner the `plan` command runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlannerChoice {
-    /// The basic algorithm (chains only).
-    #[default]
-    Basic,
-    /// The tradeoff policy.
-    Tradeoff,
-    /// The contention-unaware baseline (chains only).
-    Random,
-    /// The two-pass heuristic (chains and DAGs).
-    Dag,
-}
-
-impl PlannerChoice {
-    /// Parses a `--planner` value.
-    pub fn parse(s: &str) -> Option<PlannerChoice> {
-        Some(match s {
-            "basic" => PlannerChoice::Basic,
-            "tradeoff" => PlannerChoice::Tradeoff,
-            "random" => PlannerChoice::Random,
-            "dag" => PlannerChoice::Dag,
-            _ => None?,
-        })
-    }
+/// Parses a `--planner` value: `basic`, `tradeoff`, `random` or `dag`.
+pub fn parse_planner(s: &str) -> Option<Planner> {
+    Some(match s {
+        "basic" => Planner::Basic,
+        "tradeoff" => Planner::Tradeoff,
+        "random" => Planner::Random,
+        "dag" => Planner::Dag,
+        _ => None?,
+    })
 }
 
 fn compile(path: &Path) -> Result<(Scenario, CompiledScenario), ScenarioError> {
@@ -53,6 +35,7 @@ fn compile_with(
             ScenarioError::Invalid(format!("--avail references unknown resource {name:?}"))
         })?;
         let alpha = compiled.view.alpha(rid);
+        check_availability(name, *value, alpha)?;
         compiled.view.set_with_alpha(rid, *value, alpha);
     }
     Ok((scenario, compiled))
@@ -97,30 +80,25 @@ pub fn validate(path: &Path) -> Result<String, ScenarioError> {
     Ok(out)
 }
 
-/// `plan`: compute and pretty-print the reservation plan.
-pub fn plan(path: &Path, planner: PlannerChoice, seed: u64) -> Result<String, ScenarioError> {
-    plan_with_overrides(path, planner, seed, &[])
-}
-
-/// `plan` with `name=value` availability overrides (`--avail`).
-pub fn plan_with_overrides(
+/// `plan`: compute and pretty-print the reservation plan under
+/// `name=value` availability overrides (`--avail`). `seed` feeds the
+/// random planner.
+pub fn plan(
     path: &Path,
-    planner: PlannerChoice,
+    planner: Planner,
     seed: u64,
     overrides: &[(String, f64)],
 ) -> Result<String, ScenarioError> {
     let (_, compiled) = compile_with(path, overrides)?;
-    let qrg = Qrg::build(&compiled.session, &compiled.view, &QrgOptions::default());
-    let result: Result<ReservationPlan, _> = match planner {
-        PlannerChoice::Basic => plan_basic(&qrg),
-        PlannerChoice::Tradeoff => plan_tradeoff(&qrg),
-        PlannerChoice::Random => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            plan_random(&qrg, &mut rng)
-        }
-        PlannerChoice::Dag => plan_dag(&qrg),
-    };
-    let plan = result.map_err(|e| ScenarioError::Invalid(format!("planning failed: {e}")))?;
+    let plan = PlanCtx::new()
+        .plan_session(
+            &compiled.session,
+            &compiled.view,
+            &QrgOptions::default(),
+            planner,
+            &mut StdRng::seed_from_u64(seed),
+        )
+        .map_err(|e| ScenarioError::Invalid(format!("planning failed: {e}")))?;
 
     let service = compiled.session.service();
     let mut out = String::new();
@@ -166,21 +144,21 @@ pub fn plan_with_overrides(
 /// the plan that would be committed.
 pub fn explain(path: &Path, overrides: &[(String, f64)]) -> Result<String, ScenarioError> {
     let (_, compiled) = compile_with(path, overrides)?;
-    let qrg = Qrg::build(&compiled.session, &compiled.view, &QrgOptions::default());
-    let relaxation = relax(&qrg);
+    let mut ctx = PlanCtx::new();
+    ctx.prepare(&compiled.session, &compiled.view, &QrgOptions::default());
     let service = compiled.session.service();
+    let sink = service.graph().sink();
 
     let mut out = String::new();
     let _ = writeln!(out, "end-to-end levels (best first):");
     for level in service.sink_rank_order() {
-        let node = qrg.sink_node(level);
+        let (psi, _) = ctx.minimax(NodeRef::Out {
+            component: sink,
+            level,
+        });
         let lvl = &service.end_to_end_levels()[level];
-        if relaxation.reachable(node) {
-            let _ = writeln!(
-                out,
-                "  {lvl}  reachable, bottleneck ψ = {:.4}",
-                relaxation.dist[node]
-            );
+        if psi.is_finite() {
+            let _ = writeln!(out, "  {lvl}  reachable, bottleneck ψ = {psi:.4}");
         } else {
             let _ = writeln!(out, "  {lvl}  UNREACHABLE under current availability");
         }
@@ -188,7 +166,7 @@ pub fn explain(path: &Path, overrides: &[(String, f64)]) -> Result<String, Scena
     let _ = writeln!(
         out,
         "{} of {} (Q^in, Q^out) pairs feasible across {} components",
-        qrg.n_translation_edges(),
+        ctx.candidates().filter(|c| c.feasible).count(),
         service
             .components()
             .iter()
@@ -196,7 +174,7 @@ pub fn explain(path: &Path, overrides: &[(String, f64)]) -> Result<String, Scena
             .sum::<usize>(),
         service.components().len(),
     );
-    match plan_dag(&qrg) {
+    match ctx.plan(Planner::Dag, &mut StdRng::seed_from_u64(0)) {
         Ok(plan) => {
             let _ = writeln!(
                 out,
@@ -223,8 +201,9 @@ pub fn explain(path: &Path, overrides: &[(String, f64)]) -> Result<String, Scena
 /// `dot`: emit the QRG in Graphviz format.
 pub fn dot(path: &Path) -> Result<String, ScenarioError> {
     let (_, compiled) = compile(path)?;
-    let qrg = Qrg::build(&compiled.session, &compiled.view, &QrgOptions::default());
-    Ok(qrg.to_dot())
+    let mut ctx = PlanCtx::new();
+    ctx.prepare(&compiled.session, &compiled.view, &QrgOptions::default());
+    Ok(ctx.to_dot())
 }
 
 #[cfg(test)]
@@ -238,9 +217,9 @@ mod tests {
 
     #[test]
     fn planner_choice_parses() {
-        assert_eq!(PlannerChoice::parse("basic"), Some(PlannerChoice::Basic));
-        assert_eq!(PlannerChoice::parse("dag"), Some(PlannerChoice::Dag));
-        assert_eq!(PlannerChoice::parse("nope"), None);
+        assert_eq!(parse_planner("basic"), Some(Planner::Basic));
+        assert_eq!(parse_planner("dag"), Some(Planner::Dag));
+        assert_eq!(parse_planner("nope"), None);
     }
 
     #[test]
@@ -250,7 +229,7 @@ mod tests {
         assert!(v.contains("OK"));
         assert!(v.contains("encoder"));
 
-        let p = plan(&path, PlannerChoice::Basic, 1).unwrap();
+        let p = plan(&path, Planner::Basic, 1, &[]).unwrap();
         assert!(p.contains("end-to-end QoS"));
         assert!(p.contains("reserve"));
 

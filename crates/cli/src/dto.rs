@@ -190,6 +190,29 @@ fn parse_kind(s: &str) -> Result<ResourceKind, ScenarioError> {
     })
 }
 
+/// Checks that `available` and `alpha` describe a number of units and
+/// an availability trend (α = current availability / windowed average):
+/// both finite and ≥ 0. Scenario files and `--avail` overrides both pass
+/// through here.
+pub(crate) fn check_availability(
+    name: &str,
+    available: f64,
+    alpha: f64,
+) -> Result<(), ScenarioError> {
+    let valid = |v: f64| v.is_finite() && v >= 0.0;
+    if !valid(available) {
+        return Err(ScenarioError::Invalid(format!(
+            "resource {name:?}: available must be a finite number >= 0, got {available}"
+        )));
+    }
+    if !valid(alpha) {
+        return Err(ScenarioError::Invalid(format!(
+            "resource {name:?}: alpha must be a finite number >= 0, got {alpha}"
+        )));
+    }
+    Ok(())
+}
+
 /// Everything a scenario compiles into.
 #[derive(Debug)]
 pub struct CompiledScenario {
@@ -221,6 +244,7 @@ impl Scenario {
                     r.name
                 )));
             }
+            check_availability(&r.name, r.available, r.alpha)?;
             let rid = space.register(&r.name, parse_kind(&r.kind)?);
             view.set_with_alpha(rid, r.available, r.alpha);
         }
@@ -356,7 +380,21 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qosr_core::{plan_basic, Qrg, QrgOptions};
+    use qosr_core::{PlanCtx, Planner, QrgOptions};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn plan(compiled: &CompiledScenario, planner: Planner) -> qosr_core::ReservationPlan {
+        PlanCtx::new()
+            .plan_session(
+                &compiled.session,
+                &compiled.view,
+                &QrgOptions::default(),
+                planner,
+                &mut StdRng::seed_from_u64(0),
+            )
+            .unwrap()
+    }
 
     fn minimal_json() -> &'static str {
         r#"{
@@ -399,10 +437,46 @@ mod tests {
         let compiled = scenario.compile().unwrap();
         assert_eq!(compiled.space.len(), 2);
         assert_eq!(compiled.view.alpha(compiled.space.id("net").unwrap()), 0.9);
-        let qrg = Qrg::build(&compiled.session, &compiled.view, &QrgOptions::default());
-        let plan = plan_basic(&qrg).unwrap();
+        let plan = plan(&compiled, Planner::Basic);
         assert_eq!(plan.rank, 2);
         assert!((plan.psi - 16.0 / 50.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn availability_must_be_a_number_of_units() {
+        for bad in [f64::NAN, -5.0, f64::INFINITY] {
+            let mut scenario: Scenario = serde_json::from_str(minimal_json()).unwrap();
+            scenario.resources[1].available = bad;
+            let err = scenario.compile().unwrap_err();
+            assert!(matches!(err, ScenarioError::Invalid(_)), "{bad}: {err}");
+            assert!(err.to_string().contains("\"net\""), "{bad}: {err}");
+        }
+        // An overflowing literal parses to infinity and is rejected too.
+        let json = minimal_json().replace("\"available\": 50.0", "\"available\": 1e400");
+        let scenario: Scenario = serde_json::from_str(&json).unwrap();
+        assert!(scenario.compile().is_err());
+    }
+
+    #[test]
+    fn alpha_must_be_finite_and_non_negative() {
+        for bad in [f64::NAN, -0.5, f64::INFINITY] {
+            let mut scenario: Scenario = serde_json::from_str(minimal_json()).unwrap();
+            scenario.resources[1].alpha = bad;
+            let err = scenario.compile().unwrap_err();
+            assert!(err.to_string().contains("alpha"), "{bad}: {err}");
+            assert!(err.to_string().contains("\"net\""), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn zero_availability_and_alpha_are_accepted() {
+        let mut scenario: Scenario = serde_json::from_str(minimal_json()).unwrap();
+        scenario.resources[1].available = 0.0;
+        scenario.resources[1].alpha = 0.0;
+        let compiled = scenario.compile().unwrap();
+        let net = compiled.space.id("net").unwrap();
+        assert_eq!(compiled.view.avail(net), 0.0);
+        assert_eq!(compiled.view.alpha(net), 0.0);
     }
 
     #[test]
@@ -485,8 +559,6 @@ mod tests {
             2
         );
         assert_eq!(compiled.session.scale(), 2.0);
-        let qrg = Qrg::build(&compiled.session, &compiled.view, &QrgOptions::default());
-        let plan = qosr_core::plan_dag(&qrg).unwrap();
-        assert_eq!(plan.rank, 2);
+        assert_eq!(plan(&compiled, Planner::Dag).rank, 2);
     }
 }

@@ -37,7 +37,7 @@ pub struct LiveOptions {
     /// Serve the exposition over HTTP while running
     /// (`--metrics-addr HOST:PORT`).
     pub metrics_addr: Option<String>,
-    /// The planning algorithm (`--planner`, same values as `plan`).
+    /// The planning algorithm (`--planner basic|tradeoff|random`).
     pub planner: PlannerKind,
 }
 

@@ -13,12 +13,13 @@
 //! qosr load [--addr HOST:PORT] [--rate R] [--duration S]
 //! ```
 
-use qosr_cli::commands::{dot, explain, plan_with_overrides, validate, PlannerChoice};
+use qosr_cli::commands::{dot, explain, parse_planner, plan, validate};
 use qosr_cli::live::{self, LiveOptions};
 use qosr_cli::load::{self, LoadOptions};
 use qosr_cli::report::{report, trace};
 use qosr_cli::run::{self, RunOptions};
 use qosr_cli::serve::{self, ServeOptions, WorldKind};
+use qosr_core::Planner;
 use qosr_sim::PlannerKind;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -52,7 +53,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut command: Option<String> = None;
     let mut file: Option<PathBuf> = None;
-    let mut planner = PlannerChoice::Basic;
+    let mut planner: Option<Planner> = None;
     let mut seed = 0u64;
     let mut overrides: Vec<(String, f64)> = Vec::new();
     let mut live = LiveOptions::default();
@@ -79,15 +80,7 @@ fn main() -> ExitCode {
     while i < args.len() {
         match args[i].as_str() {
             "--planner" => {
-                let choice = flag_value!(args, i, |s| PlannerChoice::parse(s), "--planner");
-                planner = choice;
-                live.planner = match choice {
-                    PlannerChoice::Basic => PlannerKind::Basic,
-                    PlannerChoice::Tradeoff => PlannerKind::Tradeoff,
-                    PlannerChoice::Random => PlannerKind::Random,
-                    // The sim environment has no DAG services; closest fit.
-                    PlannerChoice::Dag => PlannerKind::Tradeoff,
-                };
+                planner = Some(flag_value!(args, i, |s| parse_planner(s), "--planner"));
             }
             "--avail" => {
                 let kv = flag_value!(
@@ -272,6 +265,21 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
 
+    // The live-telemetry subcommands simulate the paper's chain services,
+    // where the DAG heuristic has nothing to do: refuse it rather than
+    // run something else.
+    if let ("metrics" | "top", Some(p)) = (command.as_str(), planner) {
+        live.planner = match p {
+            Planner::Basic => PlannerKind::Basic,
+            Planner::Tradeoff => PlannerKind::Tradeoff,
+            Planner::Random => PlannerKind::Random,
+            Planner::Dag => {
+                eprintln!("error: {command} --planner accepts basic, tradeoff or random\n{USAGE}");
+                return ExitCode::FAILURE;
+            }
+        };
+    }
+
     // The live-telemetry subcommands run the built-in paper environment
     // and take no scenario file.
     let result = match (command.as_str(), &file) {
@@ -318,7 +326,7 @@ fn main() -> ExitCode {
         }
         (cmd, Some(file)) => match cmd {
             "validate" => validate(file),
-            "plan" => plan_with_overrides(file, planner, seed, &overrides),
+            "plan" => plan(file, planner.unwrap_or_default(), seed, &overrides),
             "explain" => explain(file, &overrides),
             "dot" => dot(file),
             "trace" => trace(file),

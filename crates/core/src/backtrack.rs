@@ -13,12 +13,8 @@
 //! then follows the Pass-I predecessor edge of its (possibly re-selected)
 //! output node.
 
-use crate::view::PlanView;
-#[cfg(test)]
-use crate::view::QrgView;
+use crate::view::CtxView;
 use crate::PlanError;
-#[cfg(test)]
-use crate::{Qrg, Relaxation};
 
 /// One component's selected levels and the QRG translation edge realizing
 /// them.
@@ -40,38 +36,16 @@ pub(crate) struct BtScratch {
     best_picks: Vec<(usize, usize)>,
 }
 
-/// Backtracks from sink output level `target_level`, producing one
-/// assignment per component (in component-index order).
+/// Pass II: backtracks from sink output level `target_level` into `out`
+/// (cleared here; one assignment per component, in component-index
+/// order) using the Pass-I results `dist`/`pred`.
 ///
 /// Fails with [`PlanError::BacktrackFailed`] when the fan-out resolution
 /// cannot find a converging output level — the documented limitation (1)
 /// of the DAG heuristic. Never fails on chain graphs whose target sink is
 /// reachable.
-#[cfg(test)]
-pub(crate) fn backtrack(
-    qrg: &Qrg,
-    relax: &Relaxation,
-    target_level: usize,
-) -> Result<Vec<Assignment>, PlanError> {
-    let mut out = Vec::new();
-    backtrack_into(
-        &QrgView::new(qrg),
-        &relax.dist,
-        &relax.pred,
-        target_level,
-        &mut BtScratch::default(),
-        &mut out,
-    )?;
-    Ok(out)
-}
-
-/// Pass II over any [`PlanView`]: backtracks from sink output level
-/// `target_level` into `out` (cleared here; one assignment per component,
-/// in component-index order) using the Pass-I results `dist`/`pred`.
-///
-/// See [`backtrack`] for semantics and failure modes.
-pub(crate) fn backtrack_into<V: PlanView>(
-    view: &V,
+pub(crate) fn backtrack_into(
+    view: &CtxView,
     dist: &[f64],
     pred: &[Option<u32>],
     target_level: usize,
@@ -153,8 +127,8 @@ pub(crate) fn backtrack_into<V: PlanView>(
 /// `c` that reaches all of them feasibly with minimal max edge Ψ. On
 /// success, rewrites the successors' chosen input levels and returns the
 /// selected output level of `c`.
-fn resolve_fan_out<V: PlanView>(
-    view: &V,
+fn resolve_fan_out(
+    view: &CtxView,
     dist: &[f64],
     c: usize,
     scratch: &mut BtScratch,
@@ -238,17 +212,31 @@ fn resolve_fan_out<V: PlanView>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relax::relax;
     use crate::test_fixtures::*;
+    use crate::{NodeRef, PlanCtx};
+
+    /// Pass II from sink level `level` over `ctx`'s prepared snapshot.
+    fn backtrack(ctx: &mut PlanCtx, level: usize) -> Result<Vec<Assignment>, PlanError> {
+        let (view, dist, pred) = ctx.relaxed();
+        let mut out = Vec::new();
+        backtrack_into(
+            &view,
+            dist,
+            pred,
+            level,
+            &mut BtScratch::default(),
+            &mut out,
+        )?;
+        Ok(out)
+    }
 
     #[test]
     fn chain_backtrack_follows_predecessors() {
         let fx = ChainFixture::paper_like();
-        let qrg = fx.qrg_with_avail(100.0);
-        let r = relax(&qrg);
+        let mut ctx = fx.ctx_with_avail(100.0);
         // Target the top level p (index 2); expected plan (see fixture
         // docs): c_S -> c (qout 1), c_P c->h (qin 1, qout 3), c_C h->p.
-        let asg = backtrack(&qrg, &r, 2).unwrap();
+        let asg = backtrack(&mut ctx, 2).unwrap();
         assert_eq!(asg.len(), 3);
         assert_eq!((asg[0].qin, asg[0].qout), (0, 1));
         assert_eq!((asg[1].qin, asg[1].qout), (1, 3));
@@ -258,9 +246,8 @@ mod tests {
     #[test]
     fn dag_fan_out_resolution() {
         let fx = DagFixture::diamond();
-        let qrg = fx.qrg_with_avail(100.0);
-        let r = relax(&qrg);
-        let asg = backtrack(&qrg, &r, 1).unwrap();
+        let mut ctx = fx.ctx_with_avail(100.0);
+        let asg = backtrack(&mut ctx, 1).unwrap();
         // Non-convergence at the source is resolved to output level 1
         // (grade 2), forcing a to take input 1 even though its Pass-I
         // predecessor was input 0.
@@ -273,13 +260,16 @@ mod tests {
     #[test]
     fn backtrack_fails_when_no_convergence_possible() {
         let fx = DagFixture::non_convergent();
-        let qrg = fx.qrg_with_avail(100.0);
-        let r = relax(&qrg);
+        let mut ctx = fx.ctx_with_avail(100.0);
         // Pass I reaches the top sink, but no single source output level
         // can feed both branches' fixed outputs.
-        assert!(r.reachable(qrg.sink_node(1)));
+        let sink = NodeRef::Out {
+            component: 3,
+            level: 1,
+        };
+        assert!(ctx.minimax(sink).0.is_finite());
         assert_eq!(
-            backtrack(&qrg, &r, 1),
+            backtrack(&mut ctx, 1),
             Err(PlanError::BacktrackFailed { sink_level: 1 })
         );
     }

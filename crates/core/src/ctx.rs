@@ -1,26 +1,23 @@
-//! The amortized planning hot path.
+//! Planning: the QoS-Resource Graph of one session under one
+//! availability snapshot (§4.1.1), and the planners run over it (§4.1.2).
 //!
-//! [`crate::Qrg::build`] re-derives the whole graph — node layout,
-//! adjacency, demand vectors, relaxation order — on every call, then the
-//! planners allocate fresh distance/predecessor/assignment buffers on
-//! top. That is fine for one-off planning but wasteful for a broker that
-//! plans the same few service specs against a fresh availability snapshot
-//! on every `establish`/`replan`.
+//! A broker plans the same few service specs against a fresh snapshot on
+//! every `establish`/`replan`, so a [`PlanCtx`] holds the graph split by
+//! lifetime:
 //!
-//! A [`PlanCtx`] splits the work by lifetime:
-//!
-//! * **Per service spec** (cached, shared): the [`QrgSkeleton`] — see its
-//!   module docs.
-//! * **Per call** (recomputed in [`PlanCtx::prepare`], zero allocations
-//!   in steady state): each candidate edge's scaled canonical demand,
-//!   feasibility, weight Ψ, and bottleneck under the given availability
-//!   snapshot, stored in flat reusable buffers.
+//! * **Per service spec** (cached, shared): the [`QrgSkeleton`] — node
+//!   layout, candidate edges, adjacency, relaxation order; see its module
+//!   docs.
+//! * **Per snapshot** (recomputed in [`PlanCtx::prepare`], or repaired by
+//!   [`PlanCtx::prepare_delta`]; zero allocations in steady state): each
+//!   candidate edge's scaled canonical demand, feasibility, weight Ψ, and
+//!   bottleneck, stored in flat reusable buffers. A translation candidate
+//!   is a QRG edge iff its demand fits the snapshot.
 //! * **Per run** (reused): the relax/backtrack/assembly scratch.
 //!
-//! The planners then run generically over this representation (see
-//! `view.rs`) and return plans **byte-identical** to the
-//! `Qrg::build`-based entry points — the equivalence is enforced by a
-//! property test in the workspace root (`tests/plan_equivalence.rs`).
+//! [`PlanCtx::plan`] runs any [`Planner`] over that state; the Pass-I
+//! result and the graph itself can be read back through
+//! [`PlanCtx::minimax`] and [`PlanCtx::to_dot`].
 //!
 //! ```
 //! use std::sync::Arc;
@@ -60,15 +57,39 @@
 
 use crate::delta::{diff_views, DeltaConfig, FullReason, RelaxCache, RepairOutcome, RepairStats};
 use crate::planner::{ensure_chain, finish_minimax, finish_random, finish_tradeoff};
-use crate::qrg::EdgeBottleneck;
 use crate::relax::{relax_into, relax_repair};
 use crate::skeleton::QrgSkeleton;
 use crate::snapshot::EpochSnapshot;
-use crate::view::{PlanScratch, PlanView};
-use crate::{AvailabilityView, NodeRef, PlanError, Planner, QrgOptions, ReservationPlan};
-use qosr_model::{ResourceId, ResourceVector, ServiceSpec, SessionInstance};
+use crate::view::{CtxView, PlanScratch};
+use crate::{AvailabilityView, NodeRef, PlanError, Planner, PsiDef, ReservationPlan};
+use qosr_model::{ResourceId, SessionInstance};
 use rand::Rng;
 use std::sync::Arc;
+
+/// Options controlling QRG construction and plan selection.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct QrgOptions {
+    /// Per-resource contention-index definition (default: the paper's
+    /// `req/avail`).
+    pub psi: PsiDef,
+    /// Disable the paper's tie-breaking rule (choose-min-incoming-weight
+    /// among equal minimax values) — for ablation only. `false` = rule
+    /// active (the default, as in the paper).
+    pub disable_tie_break: bool,
+}
+
+/// The bottleneck of a translation candidate: the resource attaining the
+/// maximum per-resource contention index, with its ψ and availability
+/// trend α.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct EdgeBottleneck {
+    /// The bottleneck resource.
+    pub resource: ResourceId,
+    /// Its contention index ψ (eq. 2).
+    pub psi: f64,
+    /// Its availability-change index α (eq. 5) at snapshot time.
+    pub alpha: f64,
+}
 
 /// Reusable planning context: a cached per-service [`QrgSkeleton`] plus
 /// flat per-call buffers. Call [`PlanCtx::prepare`] with a session and an
@@ -92,7 +113,7 @@ pub struct PlanCtx {
     demand_off: Vec<u32>,
     demand_buf: Vec<(ResourceId, f64)>,
     /// Weight Ψ per candidate; `f64::INFINITY` marks an infeasible
-    /// candidate (feasible ψ values are clamped to [`crate::PsiDef::CLAMP`]).
+    /// candidate (feasible ψ values are clamped to [`PsiDef::CLAMP`]).
     weight: Vec<f64>,
     bottleneck: Vec<Option<EdgeBottleneck>>,
     /// Pass-I buffers (`scratch.dist`/`scratch.pred`) and the exclusive
@@ -126,9 +147,9 @@ fn eval_candidate(
         for &(rid, req) in seg {
             let avail = view.avail(rid);
             let ratio = if avail > 0.0 {
-                (req / avail).min(crate::PsiDef::CLAMP)
+                (req / avail).min(PsiDef::CLAMP)
             } else {
-                crate::PsiDef::CLAMP
+                PsiDef::CLAMP
             };
             if bottleneck.is_none() || ratio > worst {
                 worst = ratio;
@@ -164,10 +185,10 @@ impl PlanCtx {
     }
 
     /// Prepares the context for planning `session` under the availability
-    /// snapshot `view` — the amortized equivalent of [`crate::Qrg::build`].
-    /// The session's service skeleton is fetched from the process-wide
-    /// memo (computed on first encounter); demands, feasibility, weights
-    /// and bottlenecks are recomputed into reusable buffers.
+    /// snapshot `view` — step (1) of the runtime algorithm (§4.1.1). The
+    /// session's service skeleton is fetched from the process-wide memo
+    /// (computed on first encounter); demands, feasibility, weights and
+    /// bottlenecks are recomputed into reusable buffers.
     ///
     /// This is the *full* path: it always rebuilds every candidate and
     /// defers Pass I to the next [`PlanCtx::plan`] call. Use
@@ -244,8 +265,9 @@ impl PlanCtx {
                 .push(u32::try_from(self.demand_buf.len()).expect("QRG too large"));
         }
 
-        // 2. Feasibility, weight, and bottleneck per candidate — exactly
-        // the Qrg::build computation, over the flat segments.
+        // 2. Feasibility, weight, and bottleneck per candidate: the edge
+        // exists iff R^req <= R^avail element-wise; its weight is the
+        // max ψ over the demand (eqs. 2–3).
         self.weight.clear();
         self.weight.resize(n, 0.0);
         self.bottleneck.clear();
@@ -450,7 +472,7 @@ impl PlanCtx {
         let sk = self
             .skeleton
             .clone()
-            .expect("relax_now called before prepare");
+            .expect("Pass I requested before PlanCtx::prepare");
         let view = CtxView {
             sk: &sk,
             options: &self.options,
@@ -487,8 +509,7 @@ impl PlanCtx {
             weight: &self.weight,
             bottleneck: &self.bottleneck,
         };
-        // Same order as the legacy planners: the chain check precedes
-        // any Pass-I work.
+        // The chain check precedes any Pass-I work.
         if matches!(planner, Planner::Basic | Planner::Random) {
             ensure_chain(&view)?;
         }
@@ -572,6 +593,69 @@ impl PlanCtx {
             .then(|| (&self.scratch.dist[..], &self.scratch.pred[..]))
     }
 
+    /// Pass I's read-out for `node` under the prepared snapshot: its
+    /// minimax ψ from the source (`f64::INFINITY` when unreachable) and,
+    /// for a `Q^out` node, the `Q^in` level of the translation candidate
+    /// Pass I chose into it. Runs Pass I first when no relaxation of the
+    /// prepared state is held yet.
+    ///
+    /// # Panics
+    /// Panics if [`PlanCtx::prepare`] has never been called.
+    pub fn minimax(&mut self, node: NodeRef) -> (f64, Option<usize>) {
+        if !self.relaxed {
+            self.relax_now();
+        }
+        let sk = self.skeleton.as_deref().expect("relaxed implies prepared");
+        let n = match node {
+            NodeRef::In { component, level } => sk.in_offset[component] + level,
+            NodeRef::Out { component, level } => sk.out_offset[component] + level,
+        };
+        let qin = self.scratch.pred[n]
+            .and_then(|e| sk.candidates[e as usize].pair)
+            .map(|(_, i, _)| i as usize);
+        (self.scratch.dist[n], qin)
+    }
+
+    /// Renders the prepared snapshot's QRG in Graphviz DOT format: one
+    /// cluster per service component, a solid edge labelled with its
+    /// weight Ψ per feasible translation candidate, a dashed edge per
+    /// `Q^out` → `Q^in` equivalence — the layout of the paper's figures
+    /// 4–5. Nodes are numbered as in the skeleton.
+    ///
+    /// # Panics
+    /// Panics if [`PlanCtx::prepare`] has never been called.
+    pub fn to_dot(&self) -> String {
+        use std::fmt::Write;
+        let sk = self
+            .skeleton
+            .as_deref()
+            .expect("PlanCtx::to_dot called before PlanCtx::prepare");
+        let mut out =
+            String::from("digraph qrg {\n  rankdir=LR;\n  node [shape=ellipse, fontsize=10];\n");
+        for (c, comp) in sk.service().components().iter().enumerate() {
+            let _ = writeln!(out, "  subgraph cluster_{c} {{");
+            let _ = writeln!(out, "    label=\"{}\";", comp.name());
+            let _ = writeln!(out, "    style=dashed;");
+            for (i, lvl) in comp.input_levels().iter().enumerate() {
+                let _ = writeln!(out, "    n{} [label=\"in {lvl}\"];", sk.in_offset[c] + i);
+            }
+            for (j, lvl) in comp.output_levels().iter().enumerate() {
+                let _ = writeln!(out, "    n{} [label=\"out {lvl}\"];", sk.out_offset[c] + j);
+            }
+            let _ = writeln!(out, "  }}");
+        }
+        for (cand, &weight) in sk.candidates.iter().zip(&self.weight) {
+            let (from, to) = (cand.from, cand.to);
+            if cand.pair.is_none() {
+                let _ = writeln!(out, "  n{from} -> n{to} [style=dashed, arrowhead=none];");
+            } else if weight.is_finite() {
+                let _ = writeln!(out, "  n{from} -> n{to} [label=\"{weight:.3}\"];");
+            }
+        }
+        out.push_str("}\n");
+        out
+    }
+
     /// The *effective* availability view the prepared buffers were
     /// computed against, when the delta cache is live. With a zero
     /// ψ-threshold this equals the last prepared view; with a positive
@@ -636,102 +720,28 @@ pub struct CandidateEval {
     pub alpha: Option<f64>,
 }
 
-/// [`PlanView`] over a prepared [`PlanCtx`]: skeleton structure plus the
-/// per-call weight/feasibility buffers. Candidate ids play the role of
-/// edge ids; infeasible candidates answer `edge_weight() == None` and are
-/// skipped by the algorithms, which preserves the legacy edge-id order
-/// among the surviving edges.
-struct CtxView<'a> {
-    sk: &'a QrgSkeleton,
-    options: &'a QrgOptions,
-    demand_off: &'a [u32],
-    demand_buf: &'a [(ResourceId, f64)],
-    weight: &'a [f64],
-    bottleneck: &'a [Option<EdgeBottleneck>],
-}
-
-impl PlanView for CtxView<'_> {
-    fn service(&self) -> &ServiceSpec {
-        self.sk.service()
+#[cfg(test)]
+impl PlanCtx {
+    /// The prepared skeleton.
+    pub(crate) fn skeleton(&self) -> &QrgSkeleton {
+        self.skeleton.as_deref().expect("prepared")
     }
 
-    fn disable_tie_break(&self) -> bool {
-        self.options.disable_tie_break
-    }
-
-    fn n_nodes(&self) -> usize {
-        self.sk.n_nodes()
-    }
-
-    fn node_ref(&self, n: usize) -> NodeRef {
-        self.sk.node_refs[n]
-    }
-
-    fn source_node(&self) -> usize {
-        self.sk.source_node
-    }
-
-    fn in_node(&self, c: usize, i: usize) -> usize {
-        self.sk.in_offset[c] + i
-    }
-
-    fn out_node(&self, c: usize, j: usize) -> usize {
-        self.sk.out_offset[c] + j
-    }
-
-    fn relax_order(&self) -> &[usize] {
-        &self.sk.relax_order
-    }
-
-    fn sink_order(&self) -> &[usize] {
-        &self.sk.sink_order
-    }
-
-    fn in_edges(&self, n: usize) -> &[u32] {
-        self.sk.in_edges(n)
-    }
-
-    fn out_edges(&self, n: usize) -> &[u32] {
-        self.sk.out_edges(n)
-    }
-
-    fn edge_endpoints(&self, e: u32) -> (usize, usize) {
-        let cand = &self.sk.candidates[e as usize];
-        (cand.from as usize, cand.to as usize)
-    }
-
-    fn edge_weight(&self, e: u32) -> Option<f64> {
-        let w = self.weight[e as usize];
-        w.is_finite().then_some(w)
-    }
-
-    fn edge_pair(&self, e: u32) -> Option<(usize, usize, usize)> {
-        self.sk.candidates[e as usize]
-            .pair
-            .map(|(c, i, j)| (c as usize, i as usize, j as usize))
-    }
-
-    fn translation_edge(&self, c: usize, i: usize, j: usize) -> Option<u32> {
-        self.sk
-            .pair_candidate(c, i, j)
-            .filter(|&e| self.weight[e as usize].is_finite())
-    }
-
-    fn edge_demand(&self, e: u32) -> ResourceVector {
-        let seg = &self.demand_buf
-            [self.demand_off[e as usize] as usize..self.demand_off[e as usize + 1] as usize];
-        // The segment already satisfies the canonical invariants, so this
-        // is a plain copy.
-        ResourceVector::from_pairs(seg.iter().copied())
-            .expect("prepared demands are validated at session construction")
-    }
-
-    fn edge_bottleneck(&self, e: u32) -> Option<EdgeBottleneck> {
-        self.bottleneck[e as usize]
-    }
-
-    fn sink_node(&self, level: usize) -> usize {
-        self.sk.out_offset[self.sk.service().graph().sink()] + level
+    /// The view over the prepared buffers and Pass I's result over it,
+    /// relaxing first when needed.
+    pub(crate) fn relaxed(&mut self) -> (CtxView<'_>, &[f64], &[Option<u32>]) {
+        if !self.relaxed {
+            self.relax_now();
+        }
+        let view = CtxView {
+            sk: self.skeleton.as_deref().expect("relaxed implies prepared"),
+            options: &self.options,
+            demand_off: &self.demand_off,
+            demand_buf: &self.demand_buf,
+            weight: &self.weight,
+            bottleneck: &self.bottleneck,
+        };
+        (view, &self.scratch.dist, &self.scratch.pred)
     }
 }
 
@@ -739,73 +749,14 @@ impl PlanView for CtxView<'_> {
 mod tests {
     use super::*;
     use crate::test_fixtures::*;
-    use crate::{plan_basic, plan_dag, plan_random, plan_tradeoff, Qrg};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    fn ctx_equals_legacy(fx_session: &SessionInstance, view: &AvailabilityView) {
-        let options = QrgOptions::default();
-        let mut ctx = PlanCtx::new();
-        ctx.prepare(fx_session, view, &options);
-        let qrg = Qrg::build(fx_session, view, &options);
-
-        let is_chain = fx_session.service().graph().is_chain();
-        let planners: &[Planner] = if is_chain {
-            &[
-                Planner::Basic,
-                Planner::Tradeoff,
-                Planner::Random,
-                Planner::Dag,
-            ]
-        } else {
-            &[Planner::Tradeoff, Planner::Dag]
-        };
-        for &p in planners {
-            // Identical RNG state for both paths: Random must consume the
-            // stream identically too.
-            let mut rng_a = StdRng::seed_from_u64(42);
-            let mut rng_b = StdRng::seed_from_u64(42);
-            let legacy = match p {
-                Planner::Basic => plan_basic(&qrg),
-                Planner::Tradeoff => plan_tradeoff(&qrg),
-                Planner::Random => plan_random(&qrg, &mut rng_a),
-                Planner::Dag => plan_dag(&qrg),
-            };
-            let cached = ctx.plan(p, &mut rng_b);
-            assert_eq!(legacy, cached, "planner {p:?} diverged");
-            assert_eq!(rng_a, rng_b, "planner {p:?} consumed RNG differently");
-        }
-    }
-
-    #[test]
-    fn matches_legacy_on_paper_chain_across_availability() {
-        let fx = ChainFixture::paper_like();
-        for avail in [3.0, 11.0, 20.0, 40.0, 100.0, 1000.0] {
-            let view = AvailabilityView::from_fn(fx.space.ids(), |_| avail);
-            ctx_equals_legacy(&fx.session, &view);
-        }
-    }
-
-    #[test]
-    fn matches_legacy_on_dags() {
-        for fx in [DagFixture::diamond(), DagFixture::non_convergent()] {
-            for avail in [5.0, 9.0, 100.0] {
-                let view = AvailabilityView::from_fn(fx.space.ids(), |_| avail);
-                ctx_equals_legacy(&fx.session, &view);
-            }
-        }
-    }
-
-    #[test]
-    fn matches_legacy_on_tie_break_fixture() {
-        let fx = TieBreakFixture::new();
-        ctx_equals_legacy(&fx.session, &fx.view());
-    }
 
     #[test]
     fn reprepare_across_sessions_and_scales() {
         // One context serving two different sessions (different specs and
-        // scales) must stay correct — buffers are fully rebuilt.
+        // scales) must stay correct — buffers are fully rebuilt, so every
+        // plan equals a fresh context's.
         let fx = ChainFixture::paper_like();
         let fat = ChainFixture::paper_like_scaled(10.0);
         let mut ctx = PlanCtx::new();
@@ -819,8 +770,10 @@ mod tests {
                 let plan = ctx
                     .plan_session(session, &view, &options, Planner::Basic, &mut rng)
                     .unwrap();
-                let qrg = Qrg::build(session, &view, &options);
-                assert_eq!(plan, plan_basic(&qrg).unwrap());
+                let fresh = PlanCtx::new()
+                    .plan_session(session, &view, &options, Planner::Basic, &mut rng)
+                    .unwrap();
+                assert_eq!(plan, fresh);
                 assert_eq!(plan.sink_level, expect_level);
             }
         }
@@ -1054,4 +1007,137 @@ mod tests {
         // And the buffers match a full prepare over the effective view.
         assert_state_matches_full(&mut ctx, &fx.session, &crossed);
     }
+
+    /// One row per (case, planner), formatted like the workspace-level
+    /// outcome pin. One context serves every case.
+    fn fixture_rows(cases: &[(String, &SessionInstance, AvailabilityView)]) -> Vec<String> {
+        use rand::RngCore;
+        let mut ctx = PlanCtx::new();
+        let mut rows = Vec::new();
+        for (case, session, view) in cases {
+            let planners: &[Planner] = if session.service().graph().is_chain() {
+                &[
+                    Planner::Basic,
+                    Planner::Tradeoff,
+                    Planner::Random,
+                    Planner::Dag,
+                ]
+            } else {
+                &[Planner::Tradeoff, Planner::Dag]
+            };
+            for &planner in planners {
+                let mut rng = StdRng::seed_from_u64(42);
+                let outcome = match ctx.plan_session(
+                    session,
+                    view,
+                    &QrgOptions::default(),
+                    planner,
+                    &mut rng,
+                ) {
+                    Ok(p) => format!(
+                        "level={} rank={} psi={:016x} sig={:?} bn={:?}",
+                        p.sink_level,
+                        p.rank,
+                        p.psi.to_bits(),
+                        p.signature(),
+                        p.bottleneck.map(|b| b.resource.0)
+                    ),
+                    Err(e) => format!("{e:?}"),
+                };
+                let next = if planner == Planner::Random {
+                    format!(" next={:016x}", rng.next_u64())
+                } else {
+                    String::new()
+                };
+                rows.push(format!("{case} {planner:?}: {outcome}{next}"));
+            }
+        }
+        rows
+    }
+
+    // The pinned outcomes below were recorded before the planner was
+    // reduced to one representation, so they carry what the legacy
+    // per-call graph construction planned on the same inputs.
+
+    #[test]
+    fn matches_legacy_on_paper_chain_across_availability() {
+        let paper = ChainFixture::paper_like();
+        let cases: Vec<_> = [3.0, 11.0, 20.0, 40.0, 100.0, 1000.0]
+            .into_iter()
+            .map(|avail| {
+                let view = AvailabilityView::from_fn(paper.space.ids(), |_| avail);
+                (format!("paper@{avail}"), &paper.session, view)
+            })
+            .collect();
+        assert_eq!(fixture_rows(&cases), PINNED_PAPER_OUTCOMES);
+    }
+
+    #[test]
+    fn matches_legacy_on_dags() {
+        let dags = [DagFixture::diamond(), DagFixture::non_convergent()];
+        let mut cases = Vec::new();
+        for (d, fx) in dags.iter().enumerate() {
+            for avail in [5.0, 9.0, 100.0] {
+                let view = AvailabilityView::from_fn(fx.space.ids(), |_| avail);
+                cases.push((format!("dag{d}@{avail}"), &fx.session, view));
+            }
+        }
+        assert_eq!(fixture_rows(&cases), PINNED_DAG_OUTCOMES);
+    }
+
+    #[test]
+    fn matches_legacy_on_tie_break_fixture() {
+        let tie = TieBreakFixture::new();
+        let cases = [("tie".to_owned(), &tie.session, tie.view())];
+        assert_eq!(fixture_rows(&cases), PINNED_TIE_OUTCOMES);
+    }
+
+    const PINNED_PAPER_OUTCOMES: &[&str] = &[
+        "paper@3 Basic: NoFeasiblePlan",
+        "paper@3 Tradeoff: NoFeasiblePlan",
+        "paper@3 Random: NoFeasiblePlan next=d0764d4f4476689f",
+        "paper@3 Dag: NoFeasiblePlan",
+        "paper@11 Basic: level=0 rank=1 psi=3fed1745d1745d17 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0)] bn=Some(3)",
+        "paper@11 Tradeoff: level=0 rank=1 psi=3fed1745d1745d17 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0)] bn=Some(3)",
+        "paper@11 Random: level=0 rank=1 psi=3fed1745d1745d17 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0)] bn=Some(3) next=968d9f004e50de7d",
+        "paper@11 Dag: level=0 rank=1 psi=3fed1745d1745d17 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0)] bn=Some(3)",
+        "paper@20 Basic: level=1 rank=2 psi=3feccccccccccccd sig=[(0, 0, 0), (1, 0, 1), (2, 1, 1)] bn=Some(3)",
+        "paper@20 Tradeoff: level=1 rank=2 psi=3feccccccccccccd sig=[(0, 0, 0), (1, 0, 1), (2, 1, 1)] bn=Some(3)",
+        "paper@20 Random: level=1 rank=2 psi=3feccccccccccccd sig=[(0, 0, 1), (1, 1, 1), (2, 1, 1)] bn=Some(3) next=968d9f004e50de7d",
+        "paper@20 Dag: level=1 rank=2 psi=3feccccccccccccd sig=[(0, 0, 0), (1, 0, 1), (2, 1, 1)] bn=Some(3)",
+        "paper@40 Basic: level=2 rank=3 psi=3fe3333333333333 sig=[(0, 0, 1), (1, 1, 3), (2, 3, 2)] bn=Some(3)",
+        "paper@40 Tradeoff: level=2 rank=3 psi=3fe3333333333333 sig=[(0, 0, 1), (1, 1, 3), (2, 3, 2)] bn=Some(3)",
+        "paper@40 Random: level=2 rank=3 psi=3fe999999999999a sig=[(0, 0, 1), (1, 1, 1), (2, 1, 2)] bn=Some(3) next=968d9f004e50de7d",
+        "paper@40 Dag: level=2 rank=3 psi=3fe3333333333333 sig=[(0, 0, 1), (1, 1, 3), (2, 3, 2)] bn=Some(3)",
+        "paper@100 Basic: level=2 rank=3 psi=3fceb851eb851eb8 sig=[(0, 0, 1), (1, 1, 3), (2, 3, 2)] bn=Some(3)",
+        "paper@100 Tradeoff: level=2 rank=3 psi=3fceb851eb851eb8 sig=[(0, 0, 1), (1, 1, 3), (2, 3, 2)] bn=Some(3)",
+        "paper@100 Random: level=2 rank=3 psi=3fd47ae147ae147b sig=[(0, 0, 1), (1, 1, 1), (2, 1, 2)] bn=Some(3) next=968d9f004e50de7d",
+        "paper@100 Dag: level=2 rank=3 psi=3fceb851eb851eb8 sig=[(0, 0, 1), (1, 1, 3), (2, 3, 2)] bn=Some(3)",
+        "paper@1000 Basic: level=2 rank=3 psi=3f989374bc6a7efa sig=[(0, 0, 1), (1, 1, 3), (2, 3, 2)] bn=Some(3)",
+        "paper@1000 Tradeoff: level=2 rank=3 psi=3f989374bc6a7efa sig=[(0, 0, 1), (1, 1, 3), (2, 3, 2)] bn=Some(3)",
+        "paper@1000 Random: level=2 rank=3 psi=3fa0624dd2f1a9fc sig=[(0, 0, 1), (1, 1, 1), (2, 1, 2)] bn=Some(3) next=968d9f004e50de7d",
+        "paper@1000 Dag: level=2 rank=3 psi=3f989374bc6a7efa sig=[(0, 0, 1), (1, 1, 3), (2, 3, 2)] bn=Some(3)",
+    ];
+
+    const PINNED_DAG_OUTCOMES: &[&str] = &[
+        "dag0@5 Tradeoff: NoFeasiblePlan",
+        "dag0@5 Dag: NoFeasiblePlan",
+        "dag0@9 Tradeoff: level=0 rank=1 psi=3fe8e38e38e38e39 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)] bn=Some(3)",
+        "dag0@9 Dag: level=0 rank=1 psi=3fe8e38e38e38e39 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)] bn=Some(3)",
+        "dag0@100 Tradeoff: level=1 rank=2 psi=3fb999999999999a sig=[(0, 0, 1), (1, 1, 1), (2, 1, 1), (3, 1, 1)] bn=Some(0)",
+        "dag0@100 Dag: level=1 rank=2 psi=3fb999999999999a sig=[(0, 0, 1), (1, 1, 1), (2, 1, 1), (3, 1, 1)] bn=Some(0)",
+        "dag1@5 Tradeoff: NoFeasiblePlan",
+        "dag1@5 Dag: NoFeasiblePlan",
+        "dag1@9 Tradeoff: NoFeasiblePlan",
+        "dag1@9 Dag: NoFeasiblePlan",
+        "dag1@100 Tradeoff: BacktrackFailed { sink_level: 1 }",
+        "dag1@100 Dag: BacktrackFailed { sink_level: 1 }",
+    ];
+
+    const PINNED_TIE_OUTCOMES: &[&str] = &[
+        "tie Basic: level=0 rank=0 psi=3fd3333333333333 sig=[(0, 0, 1), (1, 1, 0)] bn=Some(0)",
+        "tie Tradeoff: level=0 rank=0 psi=3fd3333333333333 sig=[(0, 0, 1), (1, 1, 0)] bn=Some(0)",
+        "tie Random: level=0 rank=0 psi=3fd3333333333333 sig=[(0, 0, 1), (1, 1, 0)] bn=Some(0) next=b37d9f600cd835b8",
+        "tie Dag: level=0 rank=0 psi=3fd3333333333333 sig=[(0, 0, 1), (1, 1, 0)] bn=Some(0)",
+    ];
 }

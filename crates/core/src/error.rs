@@ -9,7 +9,7 @@ pub enum PlanError {
     /// availability — there is no feasible reservation plan at all.
     NoFeasiblePlan,
     /// The planner only supports chain-shaped dependency graphs (use
-    /// [`crate::plan_dag`] for DAGs).
+    /// [`crate::Planner::Dag`] for DAGs).
     NotAChain,
     /// Pass II of the DAG heuristic failed to assemble an embedded graph
     /// for the sink level that Pass I marked reachable — the paper's
@@ -32,7 +32,7 @@ impl fmt::Display for PlanError {
             PlanError::NotAChain => {
                 write!(
                     f,
-                    "this planner requires a chain dependency graph; use plan_dag"
+                    "this planner requires a chain dependency graph; use the dag planner"
                 )
             }
             PlanError::BacktrackFailed { sink_level } => write!(

@@ -1,7 +1,7 @@
 //! End-to-end multi-resource reservation plans.
 
 use crate::backtrack::Assignment;
-use crate::view::PlanView;
+use crate::view::CtxView;
 use qosr_model::{QosVector, ResourceId, ResourceVector};
 
 /// The bottleneck of a reservation plan: the resource with the highest
@@ -54,7 +54,7 @@ pub struct ReservationPlan {
 
 impl ReservationPlan {
     /// Assembles a plan from backtracked assignments.
-    pub(crate) fn assemble<V: PlanView>(view: &V, assignments: &[Assignment]) -> ReservationPlan {
+    pub(crate) fn assemble(view: &CtxView, assignments: &[Assignment]) -> ReservationPlan {
         let service = view.service();
         let mut out = Vec::with_capacity(assignments.len());
         let mut psi = 0.0f64;
@@ -113,13 +113,12 @@ impl ReservationPlan {
 #[cfg(test)]
 mod tests {
     use crate::test_fixtures::*;
-    use crate::{plan_basic, relax::relax};
+    use crate::{NodeRef, Planner};
 
     #[test]
     fn assemble_computes_bottleneck_and_totals() {
         let fx = ChainFixture::paper_like();
-        let qrg = fx.qrg_with_avail(100.0);
-        let plan = plan_basic(&qrg).unwrap();
+        let plan = run(&mut fx.ctx_with_avail(100.0), Planner::Basic).unwrap();
         assert_eq!(plan.sink_level, 2);
         assert_eq!(plan.rank, 3);
         assert!((plan.psi - 0.24).abs() < 1e-12);
@@ -141,10 +140,12 @@ mod tests {
     fn relaxation_distance_matches_plan_psi_on_chains() {
         let fx = ChainFixture::paper_like();
         for avail in [30.0, 50.0, 100.0, 400.0] {
-            let qrg = fx.qrg_with_avail(avail);
-            let r = relax(&qrg);
-            if let Ok(plan) = plan_basic(&qrg) {
-                let d = r.dist[qrg.sink_node(plan.sink_level)];
+            let mut ctx = fx.ctx_with_avail(avail);
+            if let Ok(plan) = run(&mut ctx, Planner::Basic) {
+                let (d, _) = ctx.minimax(NodeRef::Out {
+                    component: 2,
+                    level: plan.sink_level,
+                });
                 assert!(
                     (plan.psi - d).abs() < 1e-12,
                     "avail {avail}: plan psi {} != dist {d}",

@@ -1,50 +1,51 @@
 //! The reservation planners (§4.1.2, §4.3, and the §5 baseline).
 
-use crate::backtrack::backtrack_into;
-use crate::relax::relax_into;
-use crate::view::{PlanScratch, PlanView, PlanWorkspace, QrgView};
-use crate::{PlanError, Qrg, ReservationPlan};
+use crate::backtrack::{backtrack_into, Assignment};
+use crate::view::{CtxView, PlanWorkspace};
+use crate::{PlanError, ReservationPlan};
 use rand::{Rng, RngExt};
 
-/// Which planning algorithm to run — handy for configuration tables in
-/// simulations and benchmarks.
+/// Which planning algorithm [`crate::PlanCtx::plan`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Planner {
-    /// The paper's basic algorithm (§4.1): highest reachable end-to-end
-    /// QoS, minimal bottleneck contention.
+    /// The paper's basic algorithm (§4.1.2): selects the plan that (1)
+    /// achieves the highest end-to-end QoS level reachable under current
+    /// availability and (2) requires the lowest percentage of bottleneck
+    /// resource(s) among all feasible plans achieving it — the
+    /// minimax-shortest path in the QRG. Chains only; use
+    /// [`Planner::Dag`] for DAGs.
     #[default]
     Basic,
-    /// Basic + the QoS/success-rate tradeoff policy of §4.3.1.
+    /// Basic + the QoS/success-rate tradeoff policy of §4.3.1: if the
+    /// availability trend α of the bottleneck resource at the best sink
+    /// `s0` is below 1.0 (availability going down), settle for the
+    /// highest-ranked sink `s` with `ψ_s ≤ α_{s0} · ψ_{s0}` instead,
+    /// lowering bottleneck pressure by the ratio `1 − α_{s0}`. When no
+    /// sink satisfies the bound, the plan for `s0` is returned unchanged
+    /// (the paper leaves this case unspecified; falling back to the basic
+    /// choice never performs worse than *basic*).
     Tradeoff,
     /// The contention-unaware baseline of §5: a random feasible path to
-    /// the highest reachable end-to-end QoS level.
+    /// the highest reachable end-to-end QoS level instead of the
+    /// minimax-shortest one. Chains only, matching its use in the paper.
     Random,
-    /// The two-pass DAG heuristic of §4.3.2 (also valid for chains).
+    /// The two-pass DAG heuristic of §4.3.2. Exact on chains (where it
+    /// coincides with [`Planner::Basic`]); on general DAGs it may fail to
+    /// assemble a plan for a Pass-I-reachable sink, or return a plan
+    /// whose bottleneck is not globally minimal — the paper's two
+    /// documented limitations.
     Dag,
 }
 
-impl Planner {
-    /// Runs this planner on a QRG. `rng` is only consulted by
-    /// [`Planner::Random`].
-    pub fn plan(self, qrg: &Qrg, rng: &mut impl Rng) -> Result<ReservationPlan, PlanError> {
-        match self {
-            Planner::Basic => plan_basic(qrg),
-            Planner::Tradeoff => plan_tradeoff(qrg),
-            Planner::Random => plan_random(qrg, rng),
-            Planner::Dag => plan_dag(qrg),
-        }
-    }
-}
-
 /// Highest-ranked sink level that Pass I marked reachable.
-fn best_reachable_sink<V: PlanView>(view: &V, dist: &[f64]) -> Option<usize> {
+fn best_reachable_sink(view: &CtxView, dist: &[f64]) -> Option<usize> {
     view.sink_order()
         .iter()
         .copied()
         .find(|&level| dist[view.sink_node(level)].is_finite())
 }
 
-pub(crate) fn ensure_chain<V: PlanView>(view: &V) -> Result<(), PlanError> {
+pub(crate) fn ensure_chain(view: &CtxView) -> Result<(), PlanError> {
     if view.service().graph().is_chain() {
         Ok(())
     } else {
@@ -52,48 +53,11 @@ pub(crate) fn ensure_chain<V: PlanView>(view: &V) -> Result<(), PlanError> {
     }
 }
 
-/// The **basic** algorithm (§4.1.2): selects the end-to-end reservation
-/// plan that (1) achieves the highest end-to-end QoS level reachable
-/// under current availability and (2) requires the lowest percentage of
-/// bottleneck resource(s) among all feasible plans achieving it — the
-/// minimax-shortest path in the QRG.
-///
-/// Requires a chain dependency graph (the paper's basic setting); use
-/// [`plan_dag`] for DAGs.
-pub fn plan_basic(qrg: &Qrg) -> Result<ReservationPlan, PlanError> {
-    plan_basic_view(&QrgView::new(qrg), &mut PlanScratch::default())
-}
-
-/// The **two-pass DAG heuristic** (§4.3.2). Exact on chains (where it
-/// coincides with [`plan_basic`]); on general DAGs it may fail to
-/// assemble a plan for a Pass-I-reachable sink, or return a plan whose
-/// bottleneck is not globally minimal — the paper's two documented
-/// limitations.
-pub fn plan_dag(qrg: &Qrg) -> Result<ReservationPlan, PlanError> {
-    plan_minimax(&QrgView::new(qrg), &mut PlanScratch::default())
-}
-
-pub(crate) fn plan_basic_view<V: PlanView>(
-    view: &V,
-    scratch: &mut PlanScratch,
-) -> Result<ReservationPlan, PlanError> {
-    ensure_chain(view)?;
-    plan_minimax(view, scratch)
-}
-
-pub(crate) fn plan_minimax<V: PlanView>(
-    view: &V,
-    scratch: &mut PlanScratch,
-) -> Result<ReservationPlan, PlanError> {
-    relax_into(view, &mut scratch.dist, &mut scratch.pred);
-    finish_minimax(view, &scratch.dist, &scratch.pred, &mut scratch.work)
-}
-
-/// Pass II + assembly of the minimax planner over an already-relaxed
-/// Pass-I result. Split out so a repaired relaxation (delta path) can be
-/// consumed without resweeping.
-pub(crate) fn finish_minimax<V: PlanView>(
-    view: &V,
+/// Pass II + assembly of the minimax planners ([`Planner::Basic`],
+/// [`Planner::Dag`]) over a relaxed Pass-I result, fresh or repaired by
+/// the delta path.
+pub(crate) fn finish_minimax(
+    view: &CtxView,
     dist: &[f64],
     pred: &[Option<u32>],
     work: &mut PlanWorkspace,
@@ -104,31 +68,10 @@ pub(crate) fn finish_minimax<V: PlanView>(
     Ok(ReservationPlan::assemble(view, &work.asg))
 }
 
-/// The **tradeoff** policy (§4.3.1): run the basic algorithm; if the
-/// availability trend α of the bottleneck resource at the best sink `s0`
-/// is below 1.0 (availability going down), settle for the highest-ranked
-/// sink `s` with `ψ_s ≤ α_{s0} · ψ_{s0}` instead, lowering bottleneck
-/// pressure by the ratio `1 − α_{s0}`.
-///
-/// When no sink satisfies the bound, the plan for `s0` is returned
-/// unchanged (the paper leaves this case unspecified; falling back to the
-/// basic choice never performs worse than *basic*).
-pub fn plan_tradeoff(qrg: &Qrg) -> Result<ReservationPlan, PlanError> {
-    plan_tradeoff_view(&QrgView::new(qrg), &mut PlanScratch::default())
-}
-
-pub(crate) fn plan_tradeoff_view<V: PlanView>(
-    view: &V,
-    scratch: &mut PlanScratch,
-) -> Result<ReservationPlan, PlanError> {
-    relax_into(view, &mut scratch.dist, &mut scratch.pred);
-    finish_tradeoff(view, &scratch.dist, &scratch.pred, &mut scratch.work)
-}
-
-/// Pass II + assembly of the tradeoff planner over an already-relaxed
-/// Pass-I result (see [`finish_minimax`]).
-pub(crate) fn finish_tradeoff<V: PlanView>(
-    view: &V,
+/// Pass II + assembly of [`Planner::Tradeoff`] over a relaxed Pass-I
+/// result (see [`finish_minimax`]).
+pub(crate) fn finish_tradeoff(
+    view: &CtxView,
     dist: &[f64],
     pred: &[Option<u32>],
     work: &mut PlanWorkspace,
@@ -179,31 +122,11 @@ pub(crate) fn finish_tradeoff<V: PlanView>(
     Ok(ReservationPlan::assemble(view, &work.asg))
 }
 
-/// The **contention-unaware baseline** of the paper's evaluation (§5):
-/// picks a *random* feasible path leading to the highest reachable
-/// end-to-end QoS level, instead of the minimax-shortest one.
-///
-/// Only defined for chain dependency graphs, matching its use in the
-/// paper.
-pub fn plan_random(qrg: &Qrg, rng: &mut impl Rng) -> Result<ReservationPlan, PlanError> {
-    plan_random_view(&QrgView::new(qrg), &mut PlanScratch::default(), rng)
-}
-
-pub(crate) fn plan_random_view<V: PlanView>(
-    view: &V,
-    scratch: &mut PlanScratch,
-    rng: &mut impl Rng,
-) -> Result<ReservationPlan, PlanError> {
-    ensure_chain(view)?;
-    relax_into(view, &mut scratch.dist, &mut scratch.pred);
-    finish_random(view, &scratch.dist, &mut scratch.work, rng)
-}
-
-/// Path walk + assembly of the random baseline over an already-relaxed
-/// Pass-I result (see [`finish_minimax`]). The caller has already
-/// checked [`ensure_chain`].
-pub(crate) fn finish_random<V: PlanView>(
-    view: &V,
+/// Path walk + assembly of [`Planner::Random`] over a relaxed Pass-I
+/// result (see [`finish_minimax`]). The caller has already checked
+/// [`ensure_chain`].
+pub(crate) fn finish_random(
+    view: &CtxView,
     dist: &[f64],
     work: &mut PlanWorkspace,
     rng: &mut impl Rng,
@@ -249,7 +172,7 @@ pub(crate) fn finish_random<V: PlanView>(
         );
         let e = work.candidates[rng.random_range(0..work.candidates.len())];
         if let Some((component, qin, qout)) = view.edge_pair(e) {
-            work.asg.push(crate::backtrack::Assignment {
+            work.asg.push(Assignment {
                 component,
                 qin,
                 qout,
@@ -261,29 +184,18 @@ pub(crate) fn finish_random<V: PlanView>(
     Ok(ReservationPlan::assemble(view, &work.asg))
 }
 
-/// Dispatch helper mirroring [`Planner::plan`], for call sites that have
-/// a [`Planner`] value and an RNG.
-pub fn plan_with(
-    planner: Planner,
-    qrg: &Qrg,
-    rng: &mut impl Rng,
-) -> Result<ReservationPlan, PlanError> {
-    planner.plan(qrg, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_fixtures::*;
-    use crate::{AvailabilityView, Qrg, QrgOptions};
+    use crate::AvailabilityView;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn basic_picks_min_bottleneck_path_to_best_level() {
         let fx = ChainFixture::paper_like();
-        let qrg = fx.qrg_with_avail(100.0);
-        let plan = plan_basic(&qrg).unwrap();
+        let plan = run(&mut fx.ctx_with_avail(100.0), Planner::Basic).unwrap();
         assert_eq!(plan.sink_level, 2); // highest level "p"
         assert!((plan.psi - 0.24).abs() < 1e-12);
         // The minimax path routes through c_S level "c", not "b".
@@ -294,14 +206,14 @@ mod tests {
     fn basic_degrades_to_lower_levels_as_availability_shrinks() {
         let fx = ChainFixture::paper_like();
         // 20 units: p needs >= 24 on the client link -> q is best.
-        let plan = plan_basic(&fx.qrg_with_avail(20.0)).unwrap();
+        let plan = run(&mut fx.ctx_with_avail(20.0), Planner::Basic).unwrap();
         assert_eq!(plan.sink_level, 1);
         // 11 units: q needs >= 18 -> only r (needs 10) remains.
-        let plan = plan_basic(&fx.qrg_with_avail(11.0)).unwrap();
+        let plan = run(&mut fx.ctx_with_avail(11.0), Planner::Basic).unwrap();
         assert_eq!(plan.sink_level, 0);
         // 3 units: nothing fits.
         assert_eq!(
-            plan_basic(&fx.qrg_with_avail(3.0)),
+            run(&mut fx.ctx_with_avail(3.0), Planner::Basic),
             Err(PlanError::NoFeasiblePlan)
         );
     }
@@ -309,9 +221,9 @@ mod tests {
     #[test]
     fn basic_rejects_dags_but_dag_planner_handles_them() {
         let fx = DagFixture::diamond();
-        let qrg = fx.qrg_with_avail(100.0);
-        assert_eq!(plan_basic(&qrg), Err(PlanError::NotAChain));
-        let plan = plan_dag(&qrg).unwrap();
+        let mut ctx = fx.ctx_with_avail(100.0);
+        assert_eq!(run(&mut ctx, Planner::Basic), Err(PlanError::NotAChain));
+        let plan = run(&mut ctx, Planner::Dag).unwrap();
         assert_eq!(plan.sink_level, 1);
         assert!((plan.psi - 0.10).abs() < 1e-12);
     }
@@ -320,8 +232,8 @@ mod tests {
     fn dag_planner_matches_basic_on_chains() {
         let fx = ChainFixture::paper_like();
         for avail in [10.0, 20.0, 40.0, 100.0, 1000.0] {
-            let qrg = fx.qrg_with_avail(avail);
-            match (plan_basic(&qrg), plan_dag(&qrg)) {
+            let mut ctx = fx.ctx_with_avail(avail);
+            match (run(&mut ctx, Planner::Basic), run(&mut ctx, Planner::Dag)) {
                 (Ok(a), Ok(b)) => assert_eq!(a, b, "avail {avail}"),
                 (Err(a), Err(b)) => assert_eq!(a, b),
                 (a, b) => panic!("mismatch at {avail}: {a:?} vs {b:?}"),
@@ -333,8 +245,11 @@ mod tests {
     fn tradeoff_steps_down_when_trend_is_down() {
         let fx = ChainFixture::paper_like();
         // Neutral trend: identical to basic.
-        let qrg = fx.qrg_with_avail(100.0);
-        assert_eq!(plan_tradeoff(&qrg).unwrap(), plan_basic(&qrg).unwrap());
+        let mut ctx = fx.ctx_with_avail(100.0);
+        assert_eq!(
+            run(&mut ctx, Planner::Tradeoff).unwrap(),
+            run(&mut ctx, Planner::Basic).unwrap()
+        );
 
         // Bottleneck (bw12) trending down: alpha 0.5.
         // basic: level p with psi .24; bound = .5*.24 = .12;
@@ -344,8 +259,7 @@ mod tests {
             view.set(fx.space.id(name).unwrap(), 100.0);
         }
         view.set_with_alpha(fx.space.id("bw12").unwrap(), 100.0, 0.5);
-        let qrg = Qrg::build(&fx.session, &view, &QrgOptions::default());
-        let plan = plan_tradeoff(&qrg).unwrap();
+        let plan = run(&mut prepared(&fx.session, &view), Planner::Tradeoff).unwrap();
         assert_eq!(plan.sink_level, 0);
         assert!((plan.psi - 0.10).abs() < 1e-12);
     }
@@ -360,19 +274,18 @@ mod tests {
         // alpha so low that even the cheapest level violates the bound:
         // bound = 0.05 * 0.24 = 0.012 < psi(r) = 0.10.
         view.set_with_alpha(fx.space.id("bw12").unwrap(), 100.0, 0.05);
-        let qrg = Qrg::build(&fx.session, &view, &QrgOptions::default());
-        let plan = plan_tradeoff(&qrg).unwrap();
+        let plan = run(&mut prepared(&fx.session, &view), Planner::Tradeoff).unwrap();
         assert_eq!(plan.sink_level, 2); // the basic choice
     }
 
     #[test]
     fn random_reaches_best_level_but_varies_paths() {
         let fx = ChainFixture::paper_like();
-        let qrg = fx.qrg_with_avail(100.0);
+        let mut ctx = fx.ctx_with_avail(100.0);
         let mut rng = StdRng::seed_from_u64(7);
         let mut signatures = std::collections::HashSet::new();
         for _ in 0..200 {
-            let plan = plan_random(&qrg, &mut rng).unwrap();
+            let plan = ctx.plan(Planner::Random, &mut rng).unwrap();
             // Always the highest reachable level...
             assert_eq!(plan.sink_level, 2);
             // ...and always a feasible plan with psi within bounds.
@@ -388,10 +301,10 @@ mod tests {
         let fx = ChainFixture::paper_like();
         let mut rng = StdRng::seed_from_u64(11);
         for avail in [15.0, 25.0, 60.0, 100.0] {
-            let qrg = fx.qrg_with_avail(avail);
-            if let Ok(basic) = plan_basic(&qrg) {
+            let mut ctx = fx.ctx_with_avail(avail);
+            if let Ok(basic) = run(&mut ctx, Planner::Basic) {
                 for _ in 0..50 {
-                    let r = plan_random(&qrg, &mut rng).unwrap();
+                    let r = ctx.plan(Planner::Random, &mut rng).unwrap();
                     assert_eq!(r.sink_level, basic.sink_level);
                     assert!(r.psi >= basic.psi - 1e-12);
                 }
@@ -402,7 +315,7 @@ mod tests {
     #[test]
     fn planner_enum_dispatches() {
         let fx = ChainFixture::paper_like();
-        let qrg = fx.qrg_with_avail(100.0);
+        let mut ctx = fx.ctx_with_avail(100.0);
         let mut rng = StdRng::seed_from_u64(3);
         for p in [
             Planner::Basic,
@@ -410,20 +323,17 @@ mod tests {
             Planner::Random,
             Planner::Dag,
         ] {
-            let plan = p.plan(&qrg, &mut rng).unwrap();
+            let plan = ctx.plan(p, &mut rng).unwrap();
             assert_eq!(plan.sink_level, 2);
         }
-        assert_eq!(
-            plan_with(Planner::Basic, &qrg, &mut rng).unwrap().psi,
-            plan_basic(&qrg).unwrap().psi
-        );
     }
 }
 
 #[cfg(test)]
 mod edge_case_tests {
     use super::*;
-    use crate::{AvailabilityView, Qrg, QrgOptions};
+    use crate::test_fixtures::{prepared, run};
+    use crate::AvailabilityView;
     use qosr_model::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -459,7 +369,7 @@ mod edge_case_tests {
     fn single_component_service_plans() {
         let (session, space) = single_component_session(&[(0, 10.0), (1, 90.0)], 2);
         let view = AvailabilityView::from_fn(space.ids(), |_| 100.0);
-        let qrg = Qrg::build(&session, &view, &QrgOptions::default());
+        let mut ctx = prepared(&session, &view);
         let mut rng = StdRng::seed_from_u64(1);
         for planner in [
             Planner::Basic,
@@ -467,7 +377,7 @@ mod edge_case_tests {
             Planner::Random,
             Planner::Dag,
         ] {
-            let plan = planner.plan(&qrg, &mut rng).unwrap();
+            let plan = ctx.plan(planner, &mut rng).unwrap();
             assert_eq!(plan.sink_level, 1);
             assert_eq!(plan.assignments.len(), 1);
             assert!((plan.psi - 0.9).abs() < 1e-12);
@@ -480,27 +390,28 @@ mod edge_case_tests {
         // feasible, the edge weight is 0, and the plan has no bottleneck.
         let (session, space) = single_component_session(&[(0, 0.0)], 1);
         let view = AvailabilityView::from_fn(space.ids(), |_| 100.0);
-        let qrg = Qrg::build(&session, &view, &QrgOptions::default());
-        assert_eq!(qrg.n_translation_edges(), 1);
-        let plan = plan_basic(&qrg).unwrap();
+        let mut ctx = prepared(&session, &view);
+        assert_eq!(ctx.candidates().filter(|c| c.feasible).count(), 1);
+        let plan = run(&mut ctx, Planner::Basic).unwrap();
         assert_eq!(plan.psi, 0.0);
         assert!(plan.bottleneck.is_none());
         assert!(plan.total_demand().is_empty());
         // Tradeoff has nothing to trade without a bottleneck.
-        assert_eq!(plan_tradeoff(&qrg).unwrap(), plan);
+        assert_eq!(run(&mut ctx, Planner::Tradeoff).unwrap(), plan);
     }
 
     #[test]
     fn demand_equal_to_availability_is_feasible_at_psi_one() {
         let (session, space) = single_component_session(&[(0, 100.0)], 1);
         let view = AvailabilityView::from_fn(space.ids(), |_| 100.0);
-        let qrg = Qrg::build(&session, &view, &QrgOptions::default());
-        let plan = plan_basic(&qrg).unwrap();
+        let plan = run(&mut prepared(&session, &view), Planner::Basic).unwrap();
         assert_eq!(plan.psi, 1.0);
         // One unit less and it is infeasible.
         let view = AvailabilityView::from_fn(space.ids(), |_| 99.999);
-        let qrg = Qrg::build(&session, &view, &QrgOptions::default());
-        assert_eq!(plan_basic(&qrg), Err(PlanError::NoFeasiblePlan));
+        assert_eq!(
+            run(&mut prepared(&session, &view), Planner::Basic),
+            Err(PlanError::NoFeasiblePlan)
+        );
     }
 
     #[test]
@@ -510,8 +421,7 @@ mod edge_case_tests {
         // min bottleneck).
         let (session, space) = single_component_session(&[(0, 1.0), (1, 99.0)], 2);
         let view = AvailabilityView::from_fn(space.ids(), |_| 100.0);
-        let qrg = Qrg::build(&session, &view, &QrgOptions::default());
-        let plan = plan_basic(&qrg).unwrap();
+        let plan = run(&mut prepared(&session, &view), Planner::Basic).unwrap();
         assert_eq!(plan.sink_level, 1);
         assert!((plan.psi - 0.99).abs() < 1e-12);
     }
@@ -541,8 +451,7 @@ mod edge_case_tests {
         let session =
             SessionInstance::new(service, vec![ComponentBinding::new([rid])], 1.0).unwrap();
         let view = AvailabilityView::from_fn(space.ids(), |_| 100.0);
-        let qrg = Qrg::build(&session, &view, &QrgOptions::default());
-        let plan = plan_basic(&qrg).unwrap();
+        let plan = run(&mut prepared(&session, &view), Planner::Basic).unwrap();
         assert_eq!(plan.sink_level, 0);
         assert_eq!(plan.rank, 2);
     }

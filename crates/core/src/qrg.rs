@@ -1,358 +1,22 @@
-//! The QoS-Resource Graph (§4.1.1).
-//!
-//! For one service session, the QRG is a snapshot of the end-to-end
-//! resource requirement and availability, plus the achievable `Q^in` /
-//! `Q^out` levels of every component:
-//!
-//! * **Nodes** — one per `Q^in` and per `Q^out` level of each component.
-//!   The single input level of the source component is the QRG *source
-//!   node* (the original quality of the source data); the sink
-//!   component's output levels are the *sink nodes* (the achievable
-//!   end-to-end QoS levels).
-//! * **Translation edges** `In(c, i) → Out(c, j)` — exist iff the scaled
-//!   demand `R^req = scale · T_c(i, j)` fits within current availability;
-//!   weight `Ψ = max_i ψ_i` with ψ from [`PsiDef`] (eqs. 2–3).
-//! * **Equivalence edges** `Out(u, j) → In(v, i)` (weight 0) — the output
-//!   of `u` feeds the input of `v` along a dependency edge. A fan-in
-//!   component's input level has one such edge *per predecessor* and is
-//!   only usable when **all** of them are (Pass I of §4.3.2 takes the
-//!   max over them).
+//! Tests of the QoS-Resource Graph as §4.1.1 defines it — nodes, edges,
+//! weights and the DOT rendering — read through a prepared [`PlanCtx`]
+//! and its skeleton.
 
-use crate::{AvailabilityView, PsiDef};
-use qosr_model::{ResourceId, ResourceVector, SessionInstance};
+use crate::test_fixtures::*;
+use crate::{AvailabilityView, NodeRef, PlanCtx};
 
-/// Options controlling QRG construction and plan selection.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct QrgOptions {
-    /// Per-resource contention-index definition (default: the paper's
-    /// `req/avail`).
-    pub psi: PsiDef,
-    /// Disable the paper's tie-breaking rule (choose-min-incoming-weight
-    /// among equal minimax values) — for ablation only. `false` = rule
-    /// active (the default, as in the paper).
-    pub disable_tie_break: bool,
+/// Feasible translation candidates (the QRG's translation edges).
+fn n_translation_edges(ctx: &PlanCtx) -> usize {
+    ctx.candidates().filter(|c| c.feasible).count()
 }
 
-/// Identifies a QRG node: an input or output QoS level of one component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NodeRef {
-    /// `Q^in` level `level` of component `component`.
-    In {
-        /// Component index.
-        component: usize,
-        /// Input level index.
-        level: usize,
-    },
-    /// `Q^out` level `level` of component `component`.
-    Out {
-        /// Component index.
-        component: usize,
-        /// Output level index.
-        level: usize,
-    },
-}
-
-/// The bottleneck of a translation edge: the resource attaining the
-/// maximum per-resource contention index, with its ψ and availability
-/// trend α.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EdgeBottleneck {
-    /// The bottleneck resource.
-    pub resource: ResourceId,
-    /// Its contention index ψ (eq. 2).
-    pub psi: f64,
-    /// Its availability-change index α (eq. 5) at snapshot time.
-    pub alpha: f64,
-}
-
-/// What an edge represents.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EdgeKind {
-    /// A feasible `(Q^in, Q^out)` pair of one component, carrying its
-    /// scaled resource demand.
-    Translation {
-        /// Component index.
-        component: usize,
-        /// Input level index.
-        qin: usize,
-        /// Output level index.
-        qout: usize,
-        /// The scaled demand `R^req`.
-        demand: ResourceVector,
-        /// The highest-ψ resource of the demand (absent iff the demand is
-        /// empty).
-        bottleneck: Option<EdgeBottleneck>,
-    },
-    /// Equivalence of an upstream `Q^out` and a downstream `Q^in`
-    /// (weight 0).
-    Equivalence,
-}
-
-/// One QRG edge.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QrgEdge {
-    /// Source node index.
-    pub from: usize,
-    /// Target node index.
-    pub to: usize,
-    /// Edge weight Ψ (0 for equivalence edges).
-    pub weight: f64,
-    /// What the edge represents.
-    pub kind: EdgeKind,
-}
-
-/// The QoS-Resource Graph of one service session under one availability
-/// snapshot. Borrows the session it was built for — a QRG is a
-/// short-lived planning artifact, not a store of the session.
-#[derive(Debug, Clone)]
-pub struct Qrg<'a> {
-    session: &'a SessionInstance,
-    options: QrgOptions,
-    /// Node-index offsets: `In(c, i)` is node `in_offset[c] + i`.
-    in_offset: Vec<usize>,
-    /// Node-index offsets: `Out(c, j)` is node `out_offset[c] + j`.
-    out_offset: Vec<usize>,
-    node_refs: Vec<NodeRef>,
-    edges: Vec<QrgEdge>,
-    /// Incoming edge ids per node.
-    in_edges: Vec<Vec<u32>>,
-    /// Outgoing edge ids per node.
-    out_edges: Vec<Vec<u32>>,
-    /// Nodes in relaxation order (components in topological order; within
-    /// a component, `Q^in` nodes before `Q^out` nodes).
-    relax_order: Vec<usize>,
-}
-
-impl<'a> Qrg<'a> {
-    /// Builds the QRG for `session` under the availability snapshot
-    /// `view` — step (1) of the runtime algorithm (§4.1.1).
-    pub fn build(
-        session: &'a SessionInstance,
-        view: &AvailabilityView,
-        options: &QrgOptions,
-    ) -> Qrg<'a> {
-        let service = session.service();
-        let graph = service.graph();
-        let k = service.components().len();
-
-        let mut in_offset = Vec::with_capacity(k);
-        let mut out_offset = Vec::with_capacity(k);
-        let mut node_refs = Vec::new();
-        for (c, comp) in service.components().iter().enumerate() {
-            in_offset.push(node_refs.len());
-            for level in 0..comp.input_levels().len() {
-                node_refs.push(NodeRef::In {
-                    component: c,
-                    level,
-                });
-            }
-            out_offset.push(node_refs.len());
-            for level in 0..comp.output_levels().len() {
-                node_refs.push(NodeRef::Out {
-                    component: c,
-                    level,
-                });
-            }
-        }
-        let n_nodes = node_refs.len();
-
-        let mut edges: Vec<QrgEdge> = Vec::new();
-        let mut in_edges: Vec<Vec<u32>> = vec![Vec::new(); n_nodes];
-        let mut out_edges: Vec<Vec<u32>> = vec![Vec::new(); n_nodes];
-        let push_edge = |edges: &mut Vec<QrgEdge>,
-                         in_edges: &mut Vec<Vec<u32>>,
-                         out_edges: &mut Vec<Vec<u32>>,
-                         e: QrgEdge| {
-            let id = u32::try_from(edges.len()).expect("QRG too large");
-            in_edges[e.to].push(id);
-            out_edges[e.from].push(id);
-            edges.push(e);
-        };
-
-        for (c, comp) in service.components().iter().enumerate() {
-            // Translation edges: feasible (Q^in, Q^out) pairs.
-            for i in 0..comp.input_levels().len() {
-                for j in 0..comp.output_levels().len() {
-                    let Some(demand) = session.demand(c, i, j) else {
-                        continue;
-                    };
-                    // Edge exists iff R^req <= R^avail element-wise.
-                    if !demand.iter().all(|(rid, req)| req <= view.avail(rid)) {
-                        continue;
-                    }
-                    let mut weight = 0.0;
-                    let mut bottleneck = None;
-                    for (rid, req) in demand.iter() {
-                        let psi = options.psi.psi(req, view.avail(rid));
-                        if bottleneck.is_none() || psi > weight {
-                            weight = psi;
-                            bottleneck = Some(EdgeBottleneck {
-                                resource: rid,
-                                psi,
-                                alpha: view.alpha(rid),
-                            });
-                        }
-                    }
-                    push_edge(
-                        &mut edges,
-                        &mut in_edges,
-                        &mut out_edges,
-                        QrgEdge {
-                            from: in_offset[c] + i,
-                            to: out_offset[c] + j,
-                            weight,
-                            kind: EdgeKind::Translation {
-                                component: c,
-                                qin: i,
-                                qout: j,
-                                demand,
-                                bottleneck,
-                            },
-                        },
-                    );
-                }
-            }
-            // Equivalence edges into each of c's input levels, one per
-            // predecessor (the decomposition is unique by ServiceSpec
-            // validation).
-            for (i, _) in comp.input_levels().iter().enumerate() {
-                let preds = graph.preds(c);
-                for (pos, &u) in preds.iter().enumerate() {
-                    let j = service.link(c, i)[pos];
-                    push_edge(
-                        &mut edges,
-                        &mut in_edges,
-                        &mut out_edges,
-                        QrgEdge {
-                            from: out_offset[u] + j,
-                            to: in_offset[c] + i,
-                            weight: 0.0,
-                            kind: EdgeKind::Equivalence,
-                        },
-                    );
-                }
-            }
-        }
-
-        let mut relax_order = Vec::with_capacity(n_nodes);
-        for &c in graph.topo_order() {
-            let comp = &service.components()[c];
-            for i in 0..comp.input_levels().len() {
-                relax_order.push(in_offset[c] + i);
-            }
-            for j in 0..comp.output_levels().len() {
-                relax_order.push(out_offset[c] + j);
-            }
-        }
-
-        Qrg {
-            session,
-            options: options.clone(),
-            in_offset,
-            out_offset,
-            node_refs,
-            edges,
-            in_edges,
-            out_edges,
-            relax_order,
-        }
-    }
-
-    /// The session this QRG was built for.
-    pub fn session(&self) -> &'a SessionInstance {
-        self.session
-    }
-
-    /// The options the QRG was built with.
-    pub fn options(&self) -> &QrgOptions {
-        &self.options
-    }
-
-    /// Total number of nodes.
-    pub fn n_nodes(&self) -> usize {
-        self.node_refs.len()
-    }
-
-    /// What node `n` represents.
-    pub fn node_ref(&self, n: usize) -> NodeRef {
-        self.node_refs[n]
-    }
-
-    /// Node index of `Q^in` level `i` of component `c`.
-    pub fn in_node(&self, c: usize, i: usize) -> usize {
-        self.in_offset[c] + i
-    }
-
-    /// Node index of `Q^out` level `j` of component `c`.
-    pub fn out_node(&self, c: usize, j: usize) -> usize {
-        self.out_offset[c] + j
-    }
-
-    /// The QRG source node (the source component's single input level).
-    pub fn source_node(&self) -> usize {
-        self.in_node(self.session.service().graph().source(), 0)
-    }
-
-    /// The sink node representing end-to-end QoS level `level`.
-    pub fn sink_node(&self, level: usize) -> usize {
-        self.out_node(self.session.service().graph().sink(), level)
-    }
-
-    /// All edges.
-    pub fn edges(&self) -> &[QrgEdge] {
-        &self.edges
-    }
-
-    /// One edge by id.
-    pub fn edge(&self, id: u32) -> &QrgEdge {
-        &self.edges[id as usize]
-    }
-
-    /// Ids of edges arriving at node `n`.
-    pub fn in_edges(&self, n: usize) -> &[u32] {
-        &self.in_edges[n]
-    }
-
-    /// Ids of edges leaving node `n`.
-    pub fn out_edges(&self, n: usize) -> &[u32] {
-        &self.out_edges[n]
-    }
-
-    /// Nodes in relaxation order (topological over the QRG).
-    pub fn relax_order(&self) -> &[usize] {
-        &self.relax_order
-    }
-
-    /// The translation edge of component `c` from input level `i` to
-    /// output level `j`, if it is feasible in this QRG.
-    pub fn translation_edge(&self, c: usize, i: usize, j: usize) -> Option<u32> {
-        let from = self.in_node(c, i);
-        let to = self.out_node(c, j);
-        self.out_edges[from]
-            .iter()
-            .copied()
-            .find(|&e| self.edges[e as usize].to == to)
-    }
-
-    /// Number of translation (category-1) edges — a measure of how many
-    /// feasible `(Q^in, Q^out)` pairs survive under current availability.
-    pub fn n_translation_edges(&self) -> usize {
-        self.edges
-            .iter()
-            .filter(|e| matches!(e.kind, EdgeKind::Translation { .. }))
-            .count()
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_fixtures::*;
 
     #[test]
     fn builds_nodes_and_edges_for_chain() {
         let fx = ChainFixture::paper_like();
-        let qrg = fx.qrg_with_avail(1000.0);
+        let ctx = fx.ctx_with_avail(1000.0);
         // Nodes: per component, inputs + outputs.
         let svc = fx.session.service();
         let expected: usize = svc
@@ -360,9 +24,10 @@ mod tests {
             .iter()
             .map(|c| c.input_levels().len() + c.output_levels().len())
             .sum();
-        assert_eq!(qrg.n_nodes(), expected);
+        let sk = ctx.skeleton();
+        assert_eq!(sk.n_nodes(), expected);
         assert_eq!(
-            qrg.node_ref(qrg.source_node()),
+            sk.node_refs[sk.source_node],
             NodeRef::In {
                 component: 0,
                 level: 0
@@ -378,62 +43,52 @@ mod tests {
                     .count()
             })
             .sum();
-        assert_eq!(qrg.n_translation_edges(), table_entries);
+        assert_eq!(n_translation_edges(&ctx), table_entries);
     }
 
     #[test]
     fn infeasible_demand_drops_edge() {
         let fx = ChainFixture::paper_like();
         // Tiny availability: nothing fits.
-        let qrg = fx.qrg_with_avail(0.5);
-        assert_eq!(qrg.n_translation_edges(), 0);
+        let ctx = fx.ctx_with_avail(0.5);
+        assert_eq!(n_translation_edges(&ctx), 0);
         // Equivalence edges are unaffected by availability.
-        assert!(qrg.edges().iter().any(|e| e.kind == EdgeKind::Equivalence));
+        assert!(ctx.to_dot().contains("style=dashed, arrowhead=none"));
     }
 
     #[test]
     fn edge_weight_is_max_ratio() {
         let fx = ChainFixture::paper_like();
-        let qrg = fx.qrg_with_avail(100.0);
+        let ctx = fx.ctx_with_avail(100.0);
         // Component 0, (0, 0) demands [cpu0=4]; weight = 4/100.
-        let e = qrg.translation_edge(0, 0, 0).expect("edge must exist");
-        let edge = qrg.edge(e);
-        assert!((edge.weight - 0.04).abs() < 1e-12);
-        match &edge.kind {
-            EdgeKind::Translation {
-                bottleneck: Some(b),
-                ..
-            } => {
-                assert!((b.psi - 0.04).abs() < 1e-12);
-                assert_eq!(b.alpha, 1.0);
-            }
-            k => panic!("unexpected kind {k:?}"),
-        }
+        let edge = ctx.candidate(0, 0, 0).expect("edge must exist");
+        assert!(edge.feasible);
+        assert!((edge.psi - 0.04).abs() < 1e-12);
+        assert_eq!(edge.resource, fx.space.id("cpu0"));
+        assert_eq!(edge.alpha, Some(1.0));
     }
 
     #[test]
     fn scale_inflates_demand_and_weight() {
         let fx = ChainFixture::paper_like_scaled(10.0);
-        let qrg = fx.qrg_with_avail(100.0);
-        let e = qrg.translation_edge(0, 0, 0).expect("edge must exist");
-        assert!((qrg.edge(e).weight - 0.4).abs() < 1e-12);
+        let ctx = fx.ctx_with_avail(100.0);
+        let edge = ctx.candidate(0, 0, 0).expect("edge must exist");
+        assert!((edge.psi - 0.4).abs() < 1e-12);
         // Demands that no longer fit are dropped: component 0 entry (0,2)
         // demands 24 * 10 = 240 > 100.
-        assert!(qrg.translation_edge(0, 0, 2).is_none());
+        assert!(!ctx.candidate(0, 0, 2).unwrap().feasible);
     }
 
     #[test]
     fn relax_order_is_topological() {
         let fx = DagFixture::diamond();
-        let qrg = fx.qrg_with_avail(1000.0);
-        let mut seen = vec![false; qrg.n_nodes()];
-        for &n in qrg.relax_order() {
-            for &e in qrg.in_edges(n) {
-                assert!(
-                    seen[qrg.edge(e).from],
-                    "node {n} relaxed before its parent {}",
-                    qrg.edge(e).from
-                );
+        let ctx = fx.ctx_with_avail(1000.0);
+        let sk = ctx.skeleton();
+        let mut seen = vec![false; sk.n_nodes()];
+        for &n in &sk.relax_order {
+            for &e in sk.in_edges(n) {
+                let from = sk.candidates[e as usize].from as usize;
+                assert!(seen[from], "node {n} relaxed before its parent {from}");
             }
             seen[n] = true;
         }
@@ -444,82 +99,37 @@ mod tests {
     fn unobserved_resource_means_unavailable() {
         let fx = ChainFixture::paper_like();
         // Empty availability view: every translation edge vanishes.
-        let view = AvailabilityView::new();
-        let qrg = Qrg::build(&fx.session, &view, &QrgOptions::default());
-        assert_eq!(qrg.n_translation_edges(), 0);
+        let ctx = prepared(&fx.session, &AvailabilityView::new());
+        assert_eq!(n_translation_edges(&ctx), 0);
     }
 }
 
-impl Qrg<'_> {
-    /// Renders the QRG in Graphviz DOT format: one cluster per service
-    /// component, solid weighted edges for feasible translation pairs,
-    /// dashed edges for `Q^out` → `Q^in` equivalences — the same layout
-    /// as the paper's figures 4–5.
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write;
-        let service = self.session.service();
-        let mut out =
-            String::from("digraph qrg {\n  rankdir=LR;\n  node [shape=ellipse, fontsize=10];\n");
-        for (c, comp) in service.components().iter().enumerate() {
-            let _ = writeln!(out, "  subgraph cluster_{c} {{");
-            let _ = writeln!(out, "    label=\"{}\";", comp.name());
-            let _ = writeln!(out, "    style=dashed;");
-            for (i, lvl) in comp.input_levels().iter().enumerate() {
-                let _ = writeln!(out, "    n{} [label=\"in {lvl}\"];", self.in_node(c, i));
-            }
-            for (j, lvl) in comp.output_levels().iter().enumerate() {
-                let _ = writeln!(out, "    n{} [label=\"out {lvl}\"];", self.out_node(c, j));
-            }
-            let _ = writeln!(out, "  }}");
-        }
-        for edge in &self.edges {
-            match &edge.kind {
-                EdgeKind::Translation { .. } => {
-                    let _ = writeln!(
-                        out,
-                        "  n{} -> n{} [label=\"{:.3}\"];",
-                        edge.from, edge.to, edge.weight
-                    );
-                }
-                EdgeKind::Equivalence => {
-                    let _ = writeln!(
-                        out,
-                        "  n{} -> n{} [style=dashed, arrowhead=none];",
-                        edge.from, edge.to
-                    );
-                }
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
-#[cfg(test)]
 mod dot_tests {
-    use crate::test_fixtures::ChainFixture;
+    use super::*;
 
     #[test]
     fn dot_output_is_well_formed() {
         let fx = ChainFixture::paper_like();
-        let qrg = fx.qrg_with_avail(100.0);
-        let dot = qrg.to_dot();
+        let ctx = fx.ctx_with_avail(100.0);
+        let dot = ctx.to_dot();
         assert!(dot.starts_with("digraph qrg {"));
         assert!(dot.trim_end().ends_with('}'));
         // One cluster per component.
         assert_eq!(dot.matches("subgraph cluster_").count(), 3);
         // Every node id appears.
-        for n in 0..qrg.n_nodes() {
+        let sk = ctx.skeleton();
+        for n in 0..sk.n_nodes() {
             assert!(dot.contains(&format!("n{n} ")), "node {n} missing");
         }
         // Translation edges carry weights; equivalences are dashed.
         assert!(dot.contains("label=\"0."));
         assert!(dot.contains("style=dashed, arrowhead=none"));
-        // Edge counts match.
-        let solid = dot.matches("];").count();
+        // Edge counts match: feasible translations plus equivalences.
+        let equivalences = sk.candidates.iter().filter(|c| c.pair.is_none()).count();
+        let edges = n_translation_edges(&ctx) + equivalences;
         assert_eq!(
-            solid,
-            qrg.edges().len() + qrg.n_nodes() + 1, // +1: the global node style
+            dot.matches("];").count(),
+            edges + sk.n_nodes() + 1, // +1: the global node style
             "every edge and node declaration terminates with ];"
         );
     }

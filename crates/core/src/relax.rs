@@ -21,41 +21,15 @@
 //!   predecessor with `min(b, c)` (and, for full determinism, the lowest
 //!   edge id after that).
 
-use crate::view::{PlanView, QrgView};
-use crate::{NodeRef, Qrg};
+use crate::view::CtxView;
+use crate::NodeRef;
 
-/// The result of Pass I: per-node minimax distances and, for `Q^out`
-/// nodes, the chosen incoming translation edge (the Dijkstra
-/// predecessor).
-#[derive(Debug, Clone)]
-pub struct Relaxation {
-    /// Minimax distance from the QRG source node; `f64::INFINITY` when
-    /// unreachable.
-    pub dist: Vec<f64>,
-    /// For each `Q^out` node, the incoming translation edge chosen by the
-    /// relaxation; `None` for unreachable or `Q^in` nodes.
-    pub pred: Vec<Option<u32>>,
-}
-
-impl Relaxation {
-    /// `true` when node `n` is reachable from the source.
-    pub fn reachable(&self, n: usize) -> bool {
-        self.dist[n].is_finite()
-    }
-}
-
-/// Runs Pass I over the QRG.
-pub fn relax(qrg: &Qrg) -> Relaxation {
-    let mut dist = Vec::new();
-    let mut pred = Vec::new();
-    relax_into(&QrgView::new(qrg), &mut dist, &mut pred);
-    Relaxation { dist, pred }
-}
-
-/// Pass I over any [`PlanView`], writing into caller-provided buffers
+/// Pass I over the prepared view, writing into caller-provided buffers
 /// (cleared and resized here) so the hot path allocates nothing in steady
-/// state.
-pub(crate) fn relax_into<V: PlanView>(view: &V, dist: &mut Vec<f64>, pred: &mut Vec<Option<u32>>) {
+/// state: `dist` gets each node's minimax distance from the source
+/// (`f64::INFINITY` when unreachable), `pred` each `Q^out` node's chosen
+/// incoming translation candidate (the Dijkstra predecessor).
+pub(crate) fn relax_into(view: &CtxView, dist: &mut Vec<f64>, pred: &mut Vec<Option<u32>>) {
     let n = view.n_nodes();
     dist.clear();
     dist.resize(n, f64::INFINITY);
@@ -77,8 +51,8 @@ pub(crate) fn relax_into<V: PlanView>(view: &V, dist: &mut Vec<f64>, pred: &mut 
 /// ([`relax_repair`]), so their fixpoints agree bit-for-bit by
 /// construction.
 #[inline]
-fn relax_node<V: PlanView>(
-    view: &V,
+fn relax_node(
+    view: &CtxView,
     node: usize,
     source: usize,
     tie_break: bool,
@@ -158,8 +132,8 @@ fn relax_node<V: PlanView>(
 /// propagation test compares bits so INFINITY == INFINITY counts as
 /// unmoved and no float-equality subtlety can stop (or force)
 /// propagation differently from a full sweep.
-pub(crate) fn relax_repair<V: PlanView>(
-    view: &V,
+pub(crate) fn relax_repair(
+    view: &CtxView,
     dist: &mut [f64],
     pred: &mut [Option<u32>],
     seed: &[bool],
@@ -193,32 +167,37 @@ pub(crate) fn relax_repair<V: PlanView>(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::test_fixtures::*;
-    use crate::{AvailabilityView, Qrg, QrgOptions};
+    use crate::{AvailabilityView, NodeRef, PlanCtx, Planner, QrgOptions};
+
+    fn out(component: usize, level: usize) -> NodeRef {
+        NodeRef::Out { component, level }
+    }
+
+    fn input(component: usize, level: usize) -> NodeRef {
+        NodeRef::In { component, level }
+    }
 
     #[test]
     fn source_is_zero_and_sinks_get_bottleneck() {
         let fx = ChainFixture::paper_like();
-        let qrg = fx.qrg_with_avail(100.0);
-        let r = relax(&qrg);
-        assert_eq!(r.dist[qrg.source_node()], 0.0);
+        let mut ctx = fx.ctx_with_avail(100.0);
+        assert_eq!(ctx.minimax(input(0, 0)), (0.0, None));
         // Best path to the top end-to-end level p has bottleneck 0.24
         // (see fixture docs); to q it is 0.18; to r it is 0.10.
-        assert!((r.dist[qrg.sink_node(2)] - 0.24).abs() < 1e-12);
-        assert!((r.dist[qrg.sink_node(1)] - 0.18).abs() < 1e-12);
-        assert!((r.dist[qrg.sink_node(0)] - 0.10).abs() < 1e-12);
+        assert!((ctx.minimax(out(2, 2)).0 - 0.24).abs() < 1e-12);
+        assert!((ctx.minimax(out(2, 1)).0 - 0.18).abs() < 1e-12);
+        assert!((ctx.minimax(out(2, 0)).0 - 0.10).abs() < 1e-12);
     }
 
     #[test]
     fn unreachable_when_demand_does_not_fit() {
         let fx = ChainFixture::paper_like();
         // Availability 20: component 2's cheapest edge to p needs 24.
-        let qrg = fx.qrg_with_avail(20.0);
-        let r = relax(&qrg);
-        assert!(!r.reachable(qrg.sink_node(2)));
+        let mut ctx = fx.ctx_with_avail(20.0);
+        assert_eq!(ctx.minimax(out(2, 2)), (f64::INFINITY, None));
         // But r (needs only 10 via k) is reachable.
-        assert!(r.reachable(qrg.sink_node(0)));
+        assert!(ctx.minimax(out(2, 0)).0.is_finite());
     }
 
     #[test]
@@ -226,48 +205,37 @@ mod tests {
         // Two inputs reach the same output with equal minimax value `a`
         // but different incoming weights: the rule picks min weight.
         let fx = TieBreakFixture::new();
-        let qrg = fx.qrg();
-        let r = relax(&qrg);
-        let out = qrg.out_node(1, 0);
-        assert_eq!(r.dist[out], 0.3);
-        let e = r.pred[out].unwrap();
+        let mut ctx = PlanCtx::new();
+        ctx.prepare(&fx.session, &fx.view(), &QrgOptions::default());
         // The chosen edge must be the lighter one (weight 0.1), i.e. from
         // input level 1, even though input 0 arrives first.
-        assert!((qrg.edge(e).weight - 0.1).abs() < 1e-12);
-        assert_eq!(qrg.edge(e).from, qrg.in_node(1, 1));
+        assert_eq!(ctx.minimax(out(1, 0)), (0.3, Some(1)));
+        assert!((ctx.candidate(1, 1, 0).unwrap().psi - 0.1).abs() < 1e-12);
     }
 
     #[test]
     fn tie_break_can_be_disabled_for_ablation() {
         let fx = TieBreakFixture::new();
-        let view = fx.view();
-        let qrg = Qrg::build(
-            &fx.session,
-            &view,
-            &QrgOptions {
-                disable_tie_break: true,
-                ..QrgOptions::default()
-            },
-        );
-        let r = relax(&qrg);
-        let out = qrg.out_node(1, 0);
+        let mut ctx = PlanCtx::new();
+        let options = QrgOptions {
+            disable_tie_break: true,
+            ..QrgOptions::default()
+        };
+        ctx.prepare(&fx.session, &fx.view(), &options);
         // Same distance, but the first-encountered edge wins.
-        assert_eq!(r.dist[out], 0.3);
-        let e = r.pred[out].unwrap();
-        assert_eq!(qrg.edge(e).from, qrg.in_node(1, 0));
+        assert_eq!(ctx.minimax(out(1, 0)), (0.3, Some(0)));
     }
 
     #[test]
     fn fan_in_takes_max_of_parents() {
         let fx = DagFixture::diamond();
-        let qrg = fx.qrg_with_avail(100.0);
-        let r = relax(&qrg);
+        let mut ctx = fx.ctx_with_avail(100.0);
         // See fixture docs: dist(a out2) = 0.05, dist(b out2) = 0.10;
         // merge input (2,2) = max = 0.10; top sink = max(0.10, 0.09) = 0.10.
-        assert!((r.dist[qrg.out_node(1, 1)] - 0.05).abs() < 1e-12);
-        assert!((r.dist[qrg.out_node(2, 1)] - 0.10).abs() < 1e-12);
-        assert!((r.dist[qrg.in_node(3, 1)] - 0.10).abs() < 1e-12);
-        assert!((r.dist[qrg.sink_node(1)] - 0.10).abs() < 1e-12);
+        assert!((ctx.minimax(out(1, 1)).0 - 0.05).abs() < 1e-12);
+        assert!((ctx.minimax(out(2, 1)).0 - 0.10).abs() < 1e-12);
+        assert!((ctx.minimax(input(3, 1)).0 - 0.10).abs() < 1e-12);
+        assert!((ctx.minimax(out(3, 1)).0 - 0.10).abs() < 1e-12);
     }
 
     #[test]
@@ -283,13 +251,48 @@ mod tests {
         ] {
             view.set(fx.space.id(name).unwrap(), amount);
         }
-        let qrg = Qrg::build(&fx.session, &view, &QrgOptions::default());
-        let r = relax(&qrg);
+        let mut ctx = PlanCtx::new();
+        ctx.prepare(&fx.session, &view, &QrgOptions::default());
         // b can still produce out1 (needs 5) but not out2.
-        assert!(r.reachable(qrg.out_node(2, 0)));
-        assert!(!r.reachable(qrg.out_node(2, 1)));
+        assert!(ctx.minimax(out(2, 0)).0.is_finite());
+        assert!(!ctx.minimax(out(2, 1)).0.is_finite());
         // merge input (2,2) requires b out2 -> unreachable, and so is the
         // top sink via that input.
-        assert!(!r.reachable(qrg.in_node(3, 1)));
+        assert!(!ctx.minimax(input(3, 1)).0.is_finite());
+    }
+
+    /// §4.2's O(K·Q²) as a count: on a dense chain (every table cell
+    /// populated) the QRG has `q + (k−1)·q²` translation candidates and
+    /// `(k−1)·q` equivalences; Pass I visits each node once and scans
+    /// each candidate once, as an in-edge of its target; Pass II assigns
+    /// one level pair per component.
+    #[test]
+    fn planning_work_is_k_q_squared() {
+        let cases = [2, 4, 8, 16, 32]
+            .map(|k| (k, 8))
+            .into_iter()
+            .chain([4, 8, 16, 32, 64].map(|q| (4, q)));
+        for (k, q) in cases {
+            let (session, space) = dense_chain(k, q);
+            let mut ctx = PlanCtx::new();
+            ctx.prepare(&session, &uniform(&space, 1e9), &QrgOptions::default());
+            let sk = ctx.skeleton();
+            let translations = sk.candidates.iter().filter(|c| c.pair.is_some()).count();
+            let equivalences = sk.n_candidates() - translations;
+            assert_eq!(translations, q + (k - 1) * q * q, "k={k} q={q}");
+            assert_eq!(equivalences, (k - 1) * q, "k={k} q={q}");
+
+            let mut visits = vec![0u32; sk.n_nodes()];
+            let mut scanned = 0;
+            for &n in &sk.relax_order {
+                visits[n] += 1;
+                scanned += sk.in_edges(n).len();
+            }
+            assert!(visits.iter().all(|&v| v == 1), "k={k} q={q}");
+            assert_eq!(scanned, sk.n_candidates(), "k={k} q={q}");
+
+            let plan = run(&mut ctx, Planner::Basic).unwrap();
+            assert_eq!(plan.assignments.len(), k, "k={k} q={q}");
+        }
     }
 }

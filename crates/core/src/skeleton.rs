@@ -1,34 +1,64 @@
-//! Availability-independent QRG structure, cached per [`ServiceSpec`].
+//! The availability-independent structure of a QoS-Resource Graph,
+//! cached per [`ServiceSpec`].
 //!
-//! Everything about a QRG except edge weights and feasibility is a pure
-//! function of the service spec: the node layout, which `(Q^in, Q^out)`
-//! cells of each translation table are populated (*candidate* translation
-//! edges), the equivalence edges, the adjacency lists, the relaxation
-//! order, and the sink ranking. Re-deriving all of that on every planning
-//! call — which [`crate::Qrg::build`] does — dominates the planner's
-//! runtime in steady state, where the same handful of service specs is
-//! planned over and over against fresh availability snapshots.
+//! For one service session, the QRG (§4.1.1) has one node per `Q^in` and
+//! per `Q^out` level of each component. The source component's single
+//! input level is the *source node*; the sink component's output levels
+//! are the *sink nodes* (the achievable end-to-end QoS levels). Two kinds
+//! of edge join them:
 //!
-//! A `QrgSkeleton` hoists that work out of the hot path. It is computed
-//! once per spec (memoized behind an [`Arc`], keyed on
-//! [`ServiceSpec::uid`]) and holds:
+//! * **translation candidates** `In(c, i) → Out(c, j)`, one per populated
+//!   cell of component `c`'s translation table; whether a candidate is
+//!   *feasible* (its scaled demand fits current availability) and its
+//!   weight Ψ depend on the snapshot and live in [`crate::PlanCtx`];
+//! * **equivalence edges** `Out(u, j) → In(v, i)` (weight 0): the output
+//!   of `u` feeds the input of `v` along a dependency edge. A fan-in
+//!   component's input level has one per predecessor and is usable only
+//!   when **all** of them are (Pass I takes the max over them).
 //!
-//! * the node layout (`in_offset`/`out_offset`/`node_refs`),
-//! * all candidate edges in exactly the construction order of
-//!   [`crate::Qrg::build`] — so the feasible subset under any
-//!   availability is order-isomorphic to the legacy edge ids,
-//! * flat CSR adjacency (`in_start`+`in_ids`, `out_start`+`out_ids`)
-//!   instead of per-node `Vec<Vec<u32>>`,
+//! Everything here is a pure function of the service spec, so a
+//! `QrgSkeleton` is computed once per spec (memoized behind an [`Arc`],
+//! keyed on [`ServiceSpec::uid`]) and shared by every planning call:
+//!
+//! * the node layout: component by component, its `Q^in` levels then its
+//!   `Q^out` levels (`in_offset`/`out_offset`/`node_refs`);
+//! * the candidate edges, numbered component by component: first the
+//!   populated translation cells in row-major `(i, j)` order, then one
+//!   equivalence edge per (input level, predecessor) pair. Candidate ids
+//!   are the edge ids every planner compares, so this order is part of
+//!   the tie-breaking and of the random planner's RNG stream;
+//! * flat CSR adjacency (`in_start`+`in_ids`, `out_start`+`out_ids`),
+//!   each node's list in candidate-id order;
 //! * each candidate's *unscaled* `(slot, amount)` demand pairs, so a
 //!   [`crate::PlanCtx`] can bind and scale them per session without
-//!   consulting the translation tables again,
-//! * an O(1) `(component, qin, qout) → candidate` lookup table,
-//! * the cached relaxation order and best-first sink ranking.
+//!   consulting the translation tables again;
+//! * an O(1) `(component, qin, qout) → candidate` lookup table;
+//! * the relaxation order (components in topological order; within a
+//!   component, `Q^in` nodes before `Q^out` nodes) and the best-first
+//!   sink ranking.
 
-use crate::NodeRef;
 use qosr_model::ServiceSpec;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, Weak};
+
+/// Identifies a QRG node: an input or output QoS level of one component.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum NodeRef {
+    /// `Q^in` level `level` of component `component`.
+    In {
+        /// Component index.
+        component: usize,
+        /// Input level index.
+        level: usize,
+    },
+    /// `Q^out` level `level` of component `component`.
+    Out {
+        /// Component index.
+        component: usize,
+        /// Output level index.
+        level: usize,
+    },
+}
 
 /// One candidate edge: a populated translation cell or an equivalence
 /// link. Whether a translation candidate is *feasible* depends on the
@@ -54,7 +84,7 @@ pub struct QrgSkeleton {
     pub(crate) out_offset: Vec<usize>,
     pub(crate) node_refs: Vec<NodeRef>,
     pub(crate) source_node: usize,
-    /// Candidate edges, in [`crate::Qrg::build`]'s construction order.
+    /// Candidate edges, in the order the module docs describe.
     pub(crate) candidates: Vec<Candidate>,
     /// Unscaled demand segment of candidate `e`:
     /// `slot_demands[d_off[e] .. d_off[e + 1]]` (empty for equivalence
@@ -152,7 +182,7 @@ impl QrgSkeleton {
             let base = *pair_base.last().unwrap() as usize;
 
             // Candidate translation edges: every populated table cell, in
-            // the same (i, j) order Qrg::build scans.
+            // row-major (i, j) order.
             for i in 0..n_in_c {
                 for j in 0..n_out_c {
                     let Some(slots) = comp.translate(i, j) else {
@@ -195,7 +225,7 @@ impl QrgSkeleton {
         }
 
         // Flatten the adjacency lists into CSR form, preserving per-node
-        // push order (= candidate-id order, as in Qrg::build).
+        // push order (= candidate-id order).
         let flatten = |lists: &[Vec<u32>]| {
             let mut start = Vec::with_capacity(lists.len() + 1);
             let mut ids = Vec::with_capacity(candidates.len());
@@ -288,59 +318,29 @@ impl QrgSkeleton {
 mod tests {
     use super::*;
     use crate::test_fixtures::*;
-    use crate::{EdgeKind, Qrg};
 
-    /// The skeleton's candidate list must enumerate, per component,
-    /// exactly the populated translation cells then the equivalence
-    /// edges — the same order Qrg::build creates edges in, so feasible
-    /// subsets are order-isomorphic.
     #[test]
-    fn candidate_order_matches_qrg_build_under_full_availability() {
-        for (session, space) in [
-            {
-                let fx = ChainFixture::paper_like();
-                (fx.session, fx.space)
-            },
-            {
-                let fx = DagFixture::diamond();
-                (fx.session, fx.space)
-            },
-        ] {
-            let view = crate::AvailabilityView::from_fn(space.ids(), |_| 1e9);
-            let qrg = Qrg::build(&session, &view, &crate::QrgOptions::default());
-            let sk = QrgSkeleton::build(session.service().clone());
-            // With abundant availability every candidate is feasible, so
-            // the two edge lists must match 1:1.
-            assert_eq!(sk.n_candidates(), qrg.edges().len());
-            for (id, cand) in sk.candidates.iter().enumerate() {
-                let edge = qrg.edge(id as u32);
-                assert_eq!(cand.from as usize, edge.from);
-                assert_eq!(cand.to as usize, edge.to);
-                match (&edge.kind, cand.pair) {
-                    (
-                        EdgeKind::Translation {
-                            component,
-                            qin,
-                            qout,
-                            ..
-                        },
-                        Some((c, i, j)),
-                    ) => {
-                        assert_eq!(
-                            (*component, *qin, *qout),
-                            (c as usize, i as usize, j as usize)
-                        );
+    fn candidate_order_follows_the_tables() {
+        // One translation candidate per populated table cell, row-major
+        // within each component; one equivalence per (input level,
+        // predecessor) after them.
+        let fx = DagFixture::diamond();
+        let svc = fx.session.service();
+        let sk = QrgSkeleton::build(svc.clone());
+        let mut want = Vec::new();
+        for c in 0..svc.components().len() {
+            let comp = svc.component(c);
+            for i in 0..comp.input_levels().len() {
+                for j in 0..comp.output_levels().len() {
+                    if comp.translate(i, j).is_some() {
+                        want.push(Some((c as u32, i as u32, j as u32)));
                     }
-                    (EdgeKind::Equivalence, None) => {}
-                    (k, p) => panic!("kind mismatch at {id}: {k:?} vs {p:?}"),
                 }
             }
-            assert_eq!(sk.relax_order, qrg.relax_order());
-            for n in 0..sk.n_nodes() {
-                assert_eq!(sk.in_edges(n), qrg.in_edges(n), "in_edges of node {n}");
-                assert_eq!(sk.out_edges(n), qrg.out_edges(n), "out_edges of node {n}");
-            }
+            want.extend((0..comp.input_levels().len() * svc.graph().preds(c).len()).map(|_| None));
         }
+        let got: Vec<_> = sk.candidates.iter().map(|cand| cand.pair).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

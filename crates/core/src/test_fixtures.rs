@@ -11,9 +11,69 @@
 //! * `dist(q) = 0.18` via `c_S→d`, `d→j`, `j→q`;
 //! * `dist(r) = 0.10` via `c_S→d`, `d→k`, `k→r`.
 
-use crate::{AvailabilityView, Qrg, QrgOptions};
+use crate::{AvailabilityView, PlanCtx, PlanError, Planner, QrgOptions, ReservationPlan};
 use qosr_model::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::Arc;
+
+/// Uniform availability on every resource of `space`, α = 1.
+pub fn uniform(space: &ResourceSpace, avail: f64) -> AvailabilityView {
+    AvailabilityView::from_fn(space.ids(), |_| avail)
+}
+
+/// A context prepared for `session` under `view` with default options.
+pub fn prepared(session: &SessionInstance, view: &AvailabilityView) -> PlanCtx {
+    let mut ctx = PlanCtx::new();
+    ctx.prepare(session, view, &QrgOptions::default());
+    ctx
+}
+
+/// Runs `planner` on the prepared snapshot with a fixed-seed RNG (only
+/// [`Planner::Random`] reads it).
+pub fn run(ctx: &mut PlanCtx, planner: Planner) -> Result<ReservationPlan, PlanError> {
+    ctx.plan(planner, &mut StdRng::seed_from_u64(0))
+}
+
+/// A dense chain of `k` components, the first with one input level and
+/// `q` output levels, the others with `q` of each, every translation
+/// cell populated; one compute slot per component on its own resource.
+pub fn dense_chain(k: usize, q: usize) -> (SessionInstance, ResourceSpace) {
+    let mut space = ResourceSpace::new();
+    let schemas: Vec<_> = (0..=k)
+        .map(|c| QosSchema::new(format!("lvl{c}"), ["grade"]))
+        .collect();
+    let levels = |c: usize, n: usize| -> Vec<QosVector> {
+        (1..=n as u32)
+            .map(|x| QosVector::new(schemas[c].clone(), [x]))
+            .collect()
+    };
+    let mut components = Vec::with_capacity(k);
+    let mut bindings = Vec::with_capacity(k);
+    for c in 0..k {
+        let n_in = if c == 0 { 1 } else { q };
+        let mut table = TableTranslation::builder(n_in, q, 1);
+        for i in 0..n_in {
+            for o in 0..q {
+                table = table.entry(i, o, [1.0 + (i + o) as f64]);
+            }
+        }
+        components.push(ComponentSpec::new(
+            format!("c{c}"),
+            levels(c, n_in),
+            levels(c + 1, q),
+            vec![SlotSpec::new("cpu", ResourceKind::Compute)],
+            Arc::new(table.build()),
+        ));
+        bindings.push(ComponentBinding::new([
+            space.register(format!("cpu{c}"), ResourceKind::Compute)
+        ]));
+    }
+    let ranking = (1..=q as u32).collect();
+    let service = Arc::new(ServiceSpec::chain("dense", components, ranking).unwrap());
+    let session = SessionInstance::new(service, bindings, 1.0).unwrap();
+    (session, space)
+}
 
 /// Chain fixture: session + resource space.
 pub struct ChainFixture {
@@ -125,10 +185,9 @@ impl ChainFixture {
         ChainFixture { session, space }
     }
 
-    /// A QRG with uniform availability on every resource, α = 1.
-    pub fn qrg_with_avail(&self, avail: f64) -> Qrg<'_> {
-        let view = AvailabilityView::from_fn(self.space.ids(), |_| avail);
-        Qrg::build(&self.session, &view, &QrgOptions::default())
+    /// A context prepared under uniform availability `avail`, α = 1.
+    pub fn ctx_with_avail(&self, avail: f64) -> PlanCtx {
+        prepared(&self.session, &uniform(&self.space, avail))
     }
 }
 
@@ -187,11 +246,7 @@ impl TieBreakFixture {
     }
 
     pub fn view(&self) -> AvailabilityView {
-        AvailabilityView::from_fn(self.space.ids(), |_| 100.0)
-    }
-
-    pub fn qrg(&self) -> Qrg<'_> {
-        Qrg::build(&self.session, &self.view(), &QrgOptions::default())
+        uniform(&self.space, 100.0)
     }
 }
 
@@ -377,9 +432,8 @@ impl DagFixture {
         DagFixture { session, space }
     }
 
-    /// A QRG with uniform availability on every resource, α = 1.
-    pub fn qrg_with_avail(&self, avail: f64) -> Qrg<'_> {
-        let view = AvailabilityView::from_fn(self.space.ids(), |_| avail);
-        Qrg::build(&self.session, &view, &QrgOptions::default())
+    /// A context prepared under uniform availability `avail`, α = 1.
+    pub fn ctx_with_avail(&self, avail: f64) -> PlanCtx {
+        prepared(&self.session, &uniform(&self.space, avail))
     }
 }

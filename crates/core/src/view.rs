@@ -1,179 +1,144 @@
-//! The planner's internal view of a QRG.
+//! The planners' read-only view of a prepared snapshot.
 //!
-//! Pass I/II and the four planners are implemented once, generically over
-//! [`PlanView`] (see `relax.rs`, `backtrack.rs`, `planner.rs`). Two
-//! implementations exist:
-//!
-//! * [`QrgView`] — adapts a materialized [`Qrg`] (the documented §4.1.1
-//!   construction: one graph built per availability snapshot). Edge ids
-//!   are compact over the *feasible* translation edges.
-//! * `CtxView` (in `ctx.rs`) — the amortized hot path: a cached
-//!   per-service [`crate::QrgSkeleton`] plus per-call weight/feasibility
-//!   buffers in a reusable [`crate::PlanCtx`]. Edge ids range over *all
-//!   candidate* edges; infeasible candidates report `edge_weight == None`.
-//!
-//! Both views enumerate edges in the same per-component construction
-//! order, so the feasible edges of the skeleton view are an
-//! order-preserving subsequence of the legacy ids. Every edge-id
-//! comparison in the algorithms (the relaxation tie-break, first-found
-//! scans) therefore decides identically under either view, which is what
-//! makes the two paths produce byte-identical [`crate::ReservationPlan`]s.
+//! Pass I (`relax.rs`), Pass II (`backtrack.rs`), plan assembly
+//! (`plan.rs`) and the four planners (`planner.rs`) all run against a
+//! [`CtxView`]: the memoized [`QrgSkeleton`] of the service plus the
+//! per-snapshot weight, feasibility and bottleneck buffers a
+//! [`crate::PlanCtx`] prepared. Candidate ids are the edge ids; an
+//! infeasible translation candidate answers `edge_weight() == None` and
+//! every algorithm skips it, so the feasible edges keep their relative
+//! order and every edge-id comparison (the relaxation tie-break,
+//! first-found scans, the random planner's candidate lists) depends only
+//! on the skeleton's candidate order.
 
 use crate::backtrack::{Assignment, BtScratch};
-use crate::qrg::EdgeBottleneck;
-use crate::{EdgeKind, NodeRef, Qrg};
-use qosr_model::{ResourceVector, ServiceSpec};
+use crate::ctx::EdgeBottleneck;
+use crate::skeleton::QrgSkeleton;
+use crate::{NodeRef, QrgOptions};
+use qosr_model::{ResourceId, ResourceVector, ServiceSpec};
 
-/// Read-only interface the planning algorithms run against.
-pub(crate) trait PlanView {
+/// Skeleton structure plus the per-snapshot buffers of a prepared
+/// [`crate::PlanCtx`].
+pub(crate) struct CtxView<'a> {
+    pub(crate) sk: &'a QrgSkeleton,
+    pub(crate) options: &'a QrgOptions,
+    pub(crate) demand_off: &'a [u32],
+    pub(crate) demand_buf: &'a [(ResourceId, f64)],
+    pub(crate) weight: &'a [f64],
+    pub(crate) bottleneck: &'a [Option<EdgeBottleneck>],
+}
+
+impl CtxView<'_> {
     /// The service being planned.
-    fn service(&self) -> &ServiceSpec;
+    pub(crate) fn service(&self) -> &ServiceSpec {
+        self.sk.service()
+    }
+
     /// `true` when the paper's tie-breaking rule is disabled (ablation).
-    fn disable_tie_break(&self) -> bool;
+    pub(crate) fn disable_tie_break(&self) -> bool {
+        self.options.disable_tie_break
+    }
+
     /// Total number of QRG nodes.
-    fn n_nodes(&self) -> usize;
+    pub(crate) fn n_nodes(&self) -> usize {
+        self.sk.n_nodes()
+    }
+
     /// What node `n` represents.
-    fn node_ref(&self, n: usize) -> NodeRef;
+    pub(crate) fn node_ref(&self, n: usize) -> NodeRef {
+        self.sk.node_refs[n]
+    }
+
     /// The QRG source node.
-    fn source_node(&self) -> usize;
+    pub(crate) fn source_node(&self) -> usize {
+        self.sk.source_node
+    }
+
     /// Node index of `Q^in` level `i` of component `c`.
-    fn in_node(&self, c: usize, i: usize) -> usize;
+    pub(crate) fn in_node(&self, c: usize, i: usize) -> usize {
+        self.sk.in_offset[c] + i
+    }
+
     /// Node index of `Q^out` level `j` of component `c`.
-    fn out_node(&self, c: usize, j: usize) -> usize;
-    /// Nodes in relaxation (topological) order.
-    fn relax_order(&self) -> &[usize];
-    /// Sink output levels ordered best-first.
-    fn sink_order(&self) -> &[usize];
-    /// Ids of edges arriving at node `n` (may include infeasible
-    /// candidates; filter with [`PlanView::edge_weight`]).
-    fn in_edges(&self, n: usize) -> &[u32];
-    /// Ids of edges leaving node `n`.
-    fn out_edges(&self, n: usize) -> &[u32];
-    /// `(from, to)` node indices of edge `e`.
-    fn edge_endpoints(&self, e: u32) -> (usize, usize);
-    /// Weight Ψ of edge `e`, or `None` when the edge is infeasible under
-    /// the current availability. Equivalence edges are always `Some(0.0)`.
-    fn edge_weight(&self, e: u32) -> Option<f64>;
-    /// `(component, qin, qout)` for translation edges, `None` for
-    /// equivalence edges.
-    fn edge_pair(&self, e: u32) -> Option<(usize, usize, usize)>;
-    /// The *feasible* translation edge of component `c` from input level
-    /// `i` to output level `j`, if any.
-    fn translation_edge(&self, c: usize, i: usize, j: usize) -> Option<u32>;
-    /// The scaled demand of translation edge `e` as a canonical vector.
-    fn edge_demand(&self, e: u32) -> ResourceVector;
-    /// The bottleneck of translation edge `e` (absent for equivalence
-    /// edges and empty demands).
-    fn edge_bottleneck(&self, e: u32) -> Option<EdgeBottleneck>;
+    pub(crate) fn out_node(&self, c: usize, j: usize) -> usize {
+        self.sk.out_offset[c] + j
+    }
 
     /// Node index of sink output level `level`.
-    fn sink_node(&self, level: usize) -> usize {
-        self.out_node(self.service().graph().sink(), level)
-    }
-}
-
-/// Adapter running the generic algorithms over a materialized [`Qrg`].
-pub(crate) struct QrgView<'q, 'a> {
-    qrg: &'q Qrg<'a>,
-    sink_order: Vec<usize>,
-}
-
-impl<'q, 'a> QrgView<'q, 'a> {
-    pub(crate) fn new(qrg: &'q Qrg<'a>) -> Self {
-        let sink_order = qrg.session().service().sink_rank_order();
-        QrgView { qrg, sink_order }
-    }
-}
-
-impl PlanView for QrgView<'_, '_> {
-    fn service(&self) -> &ServiceSpec {
-        self.qrg.session().service()
+    pub(crate) fn sink_node(&self, level: usize) -> usize {
+        self.sk.out_offset[self.sk.service().graph().sink()] + level
     }
 
-    fn disable_tie_break(&self) -> bool {
-        self.qrg.options().disable_tie_break
+    /// Nodes in relaxation (topological) order.
+    pub(crate) fn relax_order(&self) -> &[usize] {
+        &self.sk.relax_order
     }
 
-    fn n_nodes(&self) -> usize {
-        self.qrg.n_nodes()
+    /// Sink output levels ordered best-first.
+    pub(crate) fn sink_order(&self) -> &[usize] {
+        &self.sk.sink_order
     }
 
-    fn node_ref(&self, n: usize) -> NodeRef {
-        self.qrg.node_ref(n)
+    /// Ids of candidates arriving at node `n` (infeasible ones included;
+    /// filter with [`CtxView::edge_weight`]).
+    pub(crate) fn in_edges(&self, n: usize) -> &[u32] {
+        self.sk.in_edges(n)
     }
 
-    fn source_node(&self) -> usize {
-        self.qrg.source_node()
+    /// Ids of candidates leaving node `n`.
+    pub(crate) fn out_edges(&self, n: usize) -> &[u32] {
+        self.sk.out_edges(n)
     }
 
-    fn in_node(&self, c: usize, i: usize) -> usize {
-        self.qrg.in_node(c, i)
+    /// `(from, to)` node indices of candidate `e`.
+    pub(crate) fn edge_endpoints(&self, e: u32) -> (usize, usize) {
+        let cand = &self.sk.candidates[e as usize];
+        (cand.from as usize, cand.to as usize)
     }
 
-    fn out_node(&self, c: usize, j: usize) -> usize {
-        self.qrg.out_node(c, j)
+    /// Weight Ψ of candidate `e`, or `None` when it is infeasible under
+    /// the prepared snapshot. Equivalence edges are always `Some(0.0)`.
+    pub(crate) fn edge_weight(&self, e: u32) -> Option<f64> {
+        let w = self.weight[e as usize];
+        w.is_finite().then_some(w)
     }
 
-    fn relax_order(&self) -> &[usize] {
-        self.qrg.relax_order()
+    /// `(component, qin, qout)` for translation candidates, `None` for
+    /// equivalence edges.
+    pub(crate) fn edge_pair(&self, e: u32) -> Option<(usize, usize, usize)> {
+        self.sk.candidates[e as usize]
+            .pair
+            .map(|(c, i, j)| (c as usize, i as usize, j as usize))
     }
 
-    fn sink_order(&self) -> &[usize] {
-        &self.sink_order
+    /// The *feasible* translation candidate of component `c` from input
+    /// level `i` to output level `j`, if any.
+    pub(crate) fn translation_edge(&self, c: usize, i: usize, j: usize) -> Option<u32> {
+        self.sk
+            .pair_candidate(c, i, j)
+            .filter(|&e| self.weight[e as usize].is_finite())
     }
 
-    fn in_edges(&self, n: usize) -> &[u32] {
-        self.qrg.in_edges(n)
+    /// The scaled demand of translation candidate `e` as a canonical
+    /// vector.
+    pub(crate) fn edge_demand(&self, e: u32) -> ResourceVector {
+        let seg = &self.demand_buf
+            [self.demand_off[e as usize] as usize..self.demand_off[e as usize + 1] as usize];
+        // The segment already satisfies the canonical invariants, so this
+        // is a plain copy.
+        ResourceVector::from_pairs(seg.iter().copied())
+            .expect("prepared demands are validated at session construction")
     }
 
-    fn out_edges(&self, n: usize) -> &[u32] {
-        self.qrg.out_edges(n)
-    }
-
-    fn edge_endpoints(&self, e: u32) -> (usize, usize) {
-        let edge = self.qrg.edge(e);
-        (edge.from, edge.to)
-    }
-
-    fn edge_weight(&self, e: u32) -> Option<f64> {
-        // A materialized Qrg only contains feasible edges.
-        Some(self.qrg.edge(e).weight)
-    }
-
-    fn edge_pair(&self, e: u32) -> Option<(usize, usize, usize)> {
-        match self.qrg.edge(e).kind {
-            EdgeKind::Translation {
-                component,
-                qin,
-                qout,
-                ..
-            } => Some((component, qin, qout)),
-            EdgeKind::Equivalence => None,
-        }
-    }
-
-    fn translation_edge(&self, c: usize, i: usize, j: usize) -> Option<u32> {
-        self.qrg.translation_edge(c, i, j)
-    }
-
-    fn edge_demand(&self, e: u32) -> ResourceVector {
-        match &self.qrg.edge(e).kind {
-            EdgeKind::Translation { demand, .. } => demand.clone(),
-            EdgeKind::Equivalence => ResourceVector::empty(),
-        }
-    }
-
-    fn edge_bottleneck(&self, e: u32) -> Option<EdgeBottleneck> {
-        match &self.qrg.edge(e).kind {
-            EdgeKind::Translation { bottleneck, .. } => *bottleneck,
-            EdgeKind::Equivalence => None,
-        }
+    /// The bottleneck of translation candidate `e` (absent for
+    /// equivalence edges and empty demands).
+    pub(crate) fn edge_bottleneck(&self, e: u32) -> Option<EdgeBottleneck> {
+        self.bottleneck[e as usize]
     }
 }
 
 /// Reusable buffers for one full planning run (Pass I + Pass II +
-/// assembly). [`crate::PlanCtx`] holds one and reuses it across calls;
-/// the legacy `plan_*` entry points allocate a fresh one per call.
+/// assembly). [`crate::PlanCtx`] holds one and reuses it across calls.
 #[derive(Debug, Default)]
 pub(crate) struct PlanScratch {
     /// Pass I minimax distances.

@@ -15,8 +15,8 @@
 use qosr::broker::{
     AdvanceRegistry, AdvanceRequest, AlphaPolicy, SessionId, SimTime, TimelineBroker,
 };
-use qosr::core::{plan_basic, Qrg, QrgOptions};
 use qosr::prelude::*;
+use rand::SeedableRng;
 use std::sync::Arc;
 
 fn main() {
@@ -66,6 +66,19 @@ fn main() {
         .unwrap()
     };
 
+    let mut ctx = PlanCtx::new();
+    // Only the random planner reads it.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+    let mut plan = |session: &SessionInstance, view: &AvailabilityView| {
+        ctx.plan_session(
+            session,
+            view,
+            &QrgOptions::default(),
+            Planner::Basic,
+            &mut rng,
+        )
+    };
+
     let mut registry = AdvanceRegistry::new();
     registry.register(Arc::new(TimelineBroker::new(bw, 100.0)));
     registry.register(Arc::new(TimelineBroker::new(cpu, 100.0)));
@@ -75,8 +88,7 @@ fn main() {
     let window_a = (t(9.0), t(12.0));
     let view = registry.snapshot_window(window_a.0, window_a.1);
     let session_a = session_of(1.0);
-    let qrg = Qrg::build(&session_a, &view, &QrgOptions::default());
-    let plan_a = plan_basic(&qrg).unwrap();
+    let plan_a = plan(&session_a, &view).unwrap();
     registry
         .book(
             &AdvanceRequest::rigid(SessionId(1), plan_a.total_demand(), window_a.0, window_a.1),
@@ -100,8 +112,7 @@ fn main() {
         view.avail(cpu)
     );
     let session_b = session_of(1.0);
-    let qrg = Qrg::build(&session_b, &view, &QrgOptions::default());
-    let plan_b = plan_basic(&qrg).unwrap();
+    let plan_b = plan(&session_b, &view).unwrap();
     registry
         .book(
             &AdvanceRequest::rigid(SessionId(2), plan_b.total_demand(), window_b.0, window_b.1),
@@ -119,16 +130,14 @@ fn main() {
     let window_c = (t(11.0), t(13.0));
     let view = registry.snapshot_window(window_c.0, window_c.1);
     let session_c = session_of(10.0);
-    let qrg = Qrg::build(&session_c, &view, &QrgOptions::default());
-    match plan_basic(&qrg) {
+    match plan(&session_c, &view) {
         Ok(_) => unreachable!(),
         Err(e) => println!("team C (10x) for 11:00-13:00 -> rejected: {e}"),
     }
     // …but the evening is wide open.
     let window_c = (t(14.0), t(16.0));
     let view = registry.snapshot_window(window_c.0, window_c.1);
-    let qrg = Qrg::build(&session_c, &view, &QrgOptions::default());
-    let plan_c = plan_basic(&qrg).unwrap();
+    let plan_c = plan(&session_c, &view).unwrap();
     registry
         .book(
             &AdvanceRequest::rigid(SessionId(3), plan_c.total_demand(), window_c.0, window_c.1),

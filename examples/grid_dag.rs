@@ -12,8 +12,8 @@
 //! cargo run --example grid_dag
 //! ```
 
-use qosr::core::{plan_dag, AvailabilityView, Qrg, QrgOptions};
 use qosr::prelude::*;
+use rand::SeedableRng;
 use std::sync::Arc;
 
 fn main() {
@@ -117,6 +117,9 @@ fn main() {
     )
     .unwrap();
 
+    let mut ctx = PlanCtx::new();
+    // Only the random planner reads it.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     for (name, avail) in [
         ("ample resources", [100.0, 100.0, 100.0, 100.0]),
         ("spatial analyzer CPU scarce", [100.0, 100.0, 10.0, 100.0]),
@@ -126,9 +129,9 @@ fn main() {
         for (i, &rid) in rids.iter().enumerate() {
             view.set(rid, avail[i]);
         }
-        let qrg = Qrg::build(&session, &view, &QrgOptions::default());
+        ctx.prepare(&session, &view, &QrgOptions::default());
         println!("\nsnapshot: {name}");
-        match plan_dag(&qrg) {
+        match ctx.plan(Planner::Dag, &mut rng) {
             Ok(plan) => {
                 println!(
                     "  embedded graph reaches {} (rank {}), Ψ_G = {:.2}",

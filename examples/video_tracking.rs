@@ -17,8 +17,8 @@
 //! cargo run --example video_tracking
 //! ```
 
-use qosr::core::{plan_basic, AvailabilityView, Qrg, QrgOptions};
 use qosr::prelude::*;
+use rand::SeedableRng;
 use std::sync::Arc;
 
 fn main() {
@@ -167,6 +167,9 @@ fn main() {
         ),
     ];
 
+    let mut ctx = PlanCtx::new();
+    // Only the random planner reads it.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     for (name, avail) in snapshots {
         let mut view = AvailabilityView::new();
         for (i, rid) in [s_cpu, s_disk, p_cpu, c_cpu, bw_sp, bw_pc]
@@ -175,9 +178,9 @@ fn main() {
         {
             view.set(rid, avail[i]);
         }
-        let qrg = Qrg::build(&session, &view, &QrgOptions::default());
+        ctx.prepare(&session, &view, &QrgOptions::default());
         println!("snapshot: {name}");
-        match plan_basic(&qrg) {
+        match ctx.plan(Planner::Basic, &mut rng) {
             Ok(plan) => {
                 println!("  end-to-end QoS: {} (rank {})", plan.end_to_end, plan.rank);
                 for a in &plan.assignments {

@@ -41,6 +41,7 @@ pub use qosr_sim as sim;
 ///
 /// ```
 /// use qosr::prelude::*;
+/// use rand::SeedableRng;
 /// use std::sync::Arc;
 ///
 /// // One-component service planned against a snapshot via the facade.
@@ -59,7 +60,10 @@ pub use qosr_sim as sim;
 ///     service, vec![ComponentBinding::new([cpu])], 1.0).unwrap();
 /// let mut view = AvailabilityView::new();
 /// view.set(cpu, 40.0);
-/// let plan = plan_basic(&Qrg::build(&session, &view, &Default::default())).unwrap();
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(0); // read by Random only
+/// let plan = PlanCtx::new()
+///     .plan_session(&session, &view, &QrgOptions::default(), Planner::Basic, &mut rng)
+///     .unwrap();
 /// assert_eq!(plan.psi, 0.25);
 /// ```
 pub mod prelude {
@@ -71,8 +75,7 @@ pub mod prelude {
         TimelineBroker,
     };
     pub use qosr_core::{
-        plan_basic, plan_dag, plan_random, plan_tradeoff, AvailabilityView, EpochSnapshot,
-        PlanCtxPool, Planner, Qrg, QrgOptions, ReservationPlan,
+        AvailabilityView, EpochSnapshot, PlanCtx, PlanCtxPool, Planner, QrgOptions, ReservationPlan,
     };
     pub use qosr_model::{
         ComponentBinding, ComponentSpec, DependencyGraph, QosSchema, QosVector, ResourceId,

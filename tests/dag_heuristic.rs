@@ -15,9 +15,28 @@
 //!   embedding at all.
 
 use proptest::prelude::*;
-use qosr::core::{plan_dag, AvailabilityView, PlanError, Qrg, QrgOptions};
+use qosr::core::{AvailabilityView, PlanCtx, PlanError, Planner, QrgOptions, ReservationPlan};
+use qosr::model::SessionInstance;
 use qosr_bench::oracle::{best_embedding, enumerate_embeddings};
 use qosr_bench::synth::random_dag_scenario;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// The DAG heuristic's plan for `session` under `view`.
+fn dag_plan(
+    session: &SessionInstance,
+    view: &AvailabilityView,
+) -> Result<ReservationPlan, PlanError> {
+    // The DAG heuristic never reads the RNG.
+    let mut rng = StdRng::seed_from_u64(0);
+    PlanCtx::new().plan_session(
+        session,
+        view,
+        &QrgOptions::default(),
+        Planner::Dag,
+        &mut rng,
+    )
+}
 
 fn view_for(space: &qosr::model::ResourceSpace, avail: &[f64]) -> AvailabilityView {
     let mut view = AvailabilityView::new();
@@ -28,17 +47,16 @@ fn view_for(space: &qosr::model::ResourceSpace, avail: &[f64]) -> AvailabilityVi
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(300))]
+    #![proptest_config(ProptestConfig::with_cases_from_env(300))]
 
     #[test]
     fn heuristic_plans_are_valid_optimal_rank_embeddings(seed in any::<u64>()) {
         let (session, space, avail) = random_dag_scenario(seed);
         let view = view_for(&space, &avail);
-        let qrg = Qrg::build(&session, &view, &QrgOptions::default());
         let service = session.service();
         let oracle_best = best_embedding(&session, &view);
 
-        match plan_dag(&qrg) {
+        match dag_plan(&session, &view) {
             Ok(plan) => {
                 // The plan is a consistent embedded graph…
                 let graph = service.graph();
@@ -84,7 +102,7 @@ proptest! {
 
     /// Chains produced by degenerate DAG parameters must never hit the
     /// heuristic's limitations: where the dependency graph is a chain,
-    /// plan_dag is exact.
+    /// the DAG planner is exact.
     #[test]
     fn heuristic_is_exact_when_the_dag_degenerates(seed in any::<u64>()) {
         let (session, space, avail) = random_dag_scenario(seed);
@@ -94,8 +112,7 @@ proptest! {
             return Ok(());
         }
         let view = view_for(&space, &avail);
-        let qrg = Qrg::build(&session, &view, &QrgOptions::default());
-        match (plan_dag(&qrg), best_embedding(&session, &view)) {
+        match (dag_plan(&session, &view), best_embedding(&session, &view)) {
             (Ok(plan), Some(best)) => {
                 prop_assert_eq!(plan.sink_level, best.sink_level);
                 prop_assert!((plan.psi - best.psi).abs() < 1e-9);
@@ -120,8 +137,7 @@ fn heuristic_quality_profile_is_stable() {
     for seed in 0..400u64 {
         let (session, space, avail) = random_dag_scenario(seed);
         let view = view_for(&space, &avail);
-        let qrg = Qrg::build(&session, &view, &QrgOptions::default());
-        match plan_dag(&qrg) {
+        match dag_plan(&session, &view) {
             Ok(plan) => {
                 success += 1;
                 let best = best_embedding(&session, &view).unwrap();

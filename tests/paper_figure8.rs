@@ -13,8 +13,10 @@
 //! We build a QRG whose relevant edges carry exactly those contention
 //! indices (demands against availability 100) and assert the resolution.
 
-use qosr::core::{plan_dag, relax, AvailabilityView, NodeRef, Qrg, QrgOptions};
+use qosr::core::{AvailabilityView, NodeRef, PlanCtx, Planner, QrgOptions};
 use qosr::model::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 
 fn build() -> (SessionInstance, ResourceSpace) {
@@ -109,46 +111,51 @@ fn build() -> (SessionInstance, ResourceSpace) {
     (session, space)
 }
 
-#[test]
-fn pass_one_creates_the_non_convergence() {
+/// A context prepared for the figure-6 session with every resource at
+/// availability 100.
+fn prepared() -> (PlanCtx, ResourceSpace) {
     let (session, space) = build();
     let view = AvailabilityView::from_fn(space.ids(), |_| 100.0);
-    let qrg = Qrg::build(&session, &view, &QrgOptions::default());
-    let r = relax(&qrg);
+    let mut ctx = PlanCtx::new();
+    ctx.prepare(&session, &view, &QrgOptions::default());
+    (ctx, space)
+}
+
+fn out(component: usize, level: usize) -> NodeRef {
+    NodeRef::Out { component, level }
+}
+
+#[test]
+fn pass_one_creates_the_non_convergence() {
+    let (mut ctx, _) = prepared();
 
     // Branch distances as designed.
-    assert!((r.dist[qrg.out_node(1, 0)] - 0.10).abs() < 1e-12); // Qh
-    assert!((r.dist[qrg.out_node(1, 1)] - 0.15).abs() < 1e-12); // Qi
-                                                                // c3's best route to Qn goes through Qi (0.30 beats 0.35)…
-    let pred_c3 = r.pred[qrg.out_node(2, 0)].unwrap();
-    assert_eq!(
-        qrg.node_ref(qrg.edge(pred_c3).from),
-        NodeRef::In {
-            component: 2,
-            level: 1
-        }
-    );
-    assert!((r.dist[qrg.out_node(2, 0)] - 0.30).abs() < 1e-12);
+    assert!((ctx.minimax(out(1, 0)).0 - 0.10).abs() < 1e-12); // Qh
+    assert!((ctx.minimax(out(1, 1)).0 - 0.15).abs() < 1e-12); // Qi
+
+    // c3's best route to Qn goes through Qi (0.30 beats 0.35)…
+    let (psi_c3, from_c3) = ctx.minimax(out(2, 0));
+    assert_eq!(from_c3, Some(1));
+    assert!((psi_c3 - 0.30).abs() < 1e-12);
     // …while c4's goes through Qh (0.20 beats 0.25): non-convergence.
-    let pred_c4 = r.pred[qrg.out_node(3, 0)].unwrap();
-    assert_eq!(
-        qrg.node_ref(qrg.edge(pred_c4).from),
-        NodeRef::In {
-            component: 3,
-            level: 0
-        }
-    );
-    assert!((r.dist[qrg.out_node(3, 0)] - 0.20).abs() < 1e-12);
+    let (psi_c4, from_c4) = ctx.minimax(out(3, 0));
+    assert_eq!(from_c4, Some(0));
+    assert!((psi_c4 - 0.20).abs() < 1e-12);
     // Fan-in takes the max of the branches: dist(Qr) = 0.30.
-    assert!((r.dist[qrg.in_node(4, 0)] - 0.30).abs() < 1e-12);
+    let qr = NodeRef::In {
+        component: 4,
+        level: 0,
+    };
+    assert!((ctx.minimax(qr).0 - 0.30).abs() < 1e-12);
 }
 
 #[test]
 fn pass_two_resolves_to_qi_exactly_like_the_paper() {
-    let (session, space) = build();
-    let view = AvailabilityView::from_fn(space.ids(), |_| 100.0);
-    let qrg = Qrg::build(&session, &view, &QrgOptions::default());
-    let plan = plan_dag(&qrg).unwrap();
+    let (mut ctx, space) = prepared();
+    // The DAG heuristic never reads the RNG.
+    let plan = ctx
+        .plan(Planner::Dag, &mut StdRng::seed_from_u64(0))
+        .unwrap();
 
     // The paper: Qi is selected (highest Ψe to reach {Qn, Qp} is 0.30,
     // vs 0.35 via Qh).

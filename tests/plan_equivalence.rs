@@ -1,21 +1,20 @@
-//! Property-based equivalence of the amortized planning context against
-//! the per-call QRG construction path.
+//! What [`qosr::core::PlanCtx`] plans, pinned and cross-checked.
 //!
-//! The refactor that introduced [`qosr::core::PlanCtx`] (cached
-//! `QrgSkeleton`, CSR adjacency, reusable relax/backtrack scratch) must
-//! be *observationally invisible*: for every session, availability
-//! snapshot, and planner, the cached-context path must return a plan
-//! byte-identical to `Qrg::build` + `plan_*` — including identical RNG
-//! consumption for the random planner — or the exact same error.
+//! `planner_outcomes_are_pinned` holds one literal row per (case,
+//! planner) — sink level, rank, Ψ bits, signature and bottleneck
+//! resource, or the error, plus the RNG's next draw after the random
+//! planner — over dense synthetic chains and random diamond DAGs from
+//! `qosr_bench::synth` under randomized availability (down to
+//! infeasibility) and availability-change indices α. The rows were
+//! recorded before the planner had a single representation, so they
+//! carry the outcomes of the legacy per-call graph construction it
+//! replaced. `ctx_matches_legacy_{on_chains,on_dags}` check each half
+//! from a fresh context; in `planner_outcomes_are_pinned` one `PlanCtx`
+//! serves every case, so skeleton memoization and buffer
+//! re-preparation are exercised too; `one_ctx_serves_interleaved_sessions`
+//! checks a context shared across services against a fresh one per call.
 //!
-//! Scenarios cover dense synthetic chains and sparse random diamond
-//! DAGs from `qosr_bench::synth`, with randomized availability (down to
-//! infeasibility) and availability-change indices α, exercising all
-//! four planners. One `PlanCtx` is reused across every planner and
-//! scenario a test case touches, so skeleton memoization and buffer
-//! re-preparation are exercised too.
-//!
-//! The second half locks the **delta-repair** path the same way: a
+//! The second half locks the **delta-repair** path: a
 //! context driven exclusively through [`PlanCtx::prepare_delta`] /
 //! [`PlanCtx::prepare_epoch`] over arbitrary availability walks must
 //! hold exactly the state a from-scratch full prepare would build
@@ -29,13 +28,13 @@
 
 use proptest::prelude::*;
 use qosr::core::{
-    AvailabilityView, DeltaConfig, EpochSnapshot, PlanCtx, Planner, Qrg, QrgOptions, RepairOutcome,
+    AvailabilityView, DeltaConfig, EpochSnapshot, PlanCtx, Planner, QrgOptions, RepairOutcome,
     RepairStats,
 };
 use qosr::model::ResourceSpace;
 use qosr_bench::synth::{random_dag_scenario, synthetic_chain, synthetic_chain_multi};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::{RngCore, RngExt, SeedableRng};
 
 const ALL_PLANNERS: [Planner; 4] = [
     Planner::Basic,
@@ -59,9 +58,10 @@ fn random_view(space: &ResourceSpace, rng: &mut StdRng) -> AvailabilityView {
     view
 }
 
-/// Plans `session` under `view` with every planner through both paths
-/// and asserts byte-identical outcomes and RNG streams.
-fn assert_paths_agree(
+/// Plans `session` under `view` with every planner through the shared
+/// `ctx` and through a fresh context, and asserts byte-identical outcomes
+/// and RNG streams.
+fn assert_shared_matches_fresh(
     ctx: &mut PlanCtx,
     session: &qosr::model::SessionInstance,
     view: &AvailabilityView,
@@ -69,24 +69,23 @@ fn assert_paths_agree(
 ) -> Result<(), TestCaseError> {
     let options = QrgOptions::default();
     for planner in ALL_PLANNERS {
-        let mut rng_legacy = StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
-        let mut rng_ctx = rng_legacy.clone();
+        let mut rng_fresh = StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
+        let mut rng_shared = rng_fresh.clone();
 
-        let qrg = Qrg::build(session, view, &options);
-        let legacy = planner.plan(&qrg, &mut rng_legacy);
-        let cached = ctx.plan_session(session, view, &options, planner, &mut rng_ctx);
+        let fresh = PlanCtx::new().plan_session(session, view, &options, planner, &mut rng_fresh);
+        let shared = ctx.plan_session(session, view, &options, planner, &mut rng_shared);
 
-        match (legacy, cached) {
+        match (fresh, shared) {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "plan mismatch under {:?}", planner),
             (Err(a), Err(b)) => prop_assert_eq!(a, b, "error mismatch under {:?}", planner),
-            (a, b) => prop_assert!(false, "{:?}: legacy {:?} vs ctx {:?}", planner, a, b),
+            (a, b) => prop_assert!(false, "{:?}: fresh {:?} vs shared {:?}", planner, a, b),
         }
-        // The cached path must consume the RNG identically (same
+        // The shared context must consume the RNG identically (same
         // candidate sets in the same order), not merely end at the same
         // plan.
         prop_assert_eq!(
-            rng_legacy,
-            rng_ctx,
+            rng_fresh,
+            rng_shared,
             "RNG streams diverged under {:?}",
             planner
         );
@@ -95,36 +94,7 @@ fn assert_paths_agree(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn ctx_matches_legacy_on_chains(seed in any::<u64>(), k in 1usize..=6, q in 1usize..=5) {
-        let (session, space) = synthetic_chain(k, q);
-        let mut avail_rng = StdRng::seed_from_u64(seed);
-        let mut ctx = PlanCtx::new();
-        // Several snapshots against one context: steady-state reuse.
-        for _ in 0..3 {
-            let view = random_view(&space, &mut avail_rng);
-            assert_paths_agree(&mut ctx, &session, &view, seed)?;
-        }
-    }
-
-    #[test]
-    fn ctx_matches_legacy_on_dags(seed in any::<u64>()) {
-        let (session, space, avail) = random_dag_scenario(seed);
-        let mut ctx = PlanCtx::new();
-        // The scenario's own availability, then randomized ones.
-        let mut view = AvailabilityView::new();
-        for (i, rid) in space.ids().enumerate() {
-            view.set(rid, avail[i]);
-        }
-        assert_paths_agree(&mut ctx, &session, &view, seed)?;
-        let mut avail_rng = StdRng::seed_from_u64(seed.wrapping_add(1));
-        for _ in 0..2 {
-            let view = random_view(&space, &mut avail_rng);
-            assert_paths_agree(&mut ctx, &session, &view, seed)?;
-        }
-    }
+    #![proptest_config(ProptestConfig::with_cases_from_env(128))]
 
     #[test]
     fn one_ctx_serves_interleaved_sessions(seed in any::<u64>(), k in 1usize..=4, q in 1usize..=4) {
@@ -136,9 +106,9 @@ proptest! {
         let mut ctx = PlanCtx::new();
         for _ in 0..2 {
             let view = random_view(&chain_space, &mut avail_rng);
-            assert_paths_agree(&mut ctx, &chain, &view, seed)?;
+            assert_shared_matches_fresh(&mut ctx, &chain, &view, seed)?;
             let view = random_view(&dag_space, &mut avail_rng);
-            assert_paths_agree(&mut ctx, &dag, &view, seed)?;
+            assert_shared_matches_fresh(&mut ctx, &dag, &view, seed)?;
         }
     }
 }
@@ -199,7 +169,7 @@ fn observations(view: &AvailabilityView) -> Vec<(qosr::model::ResourceId, u64, u
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases_from_env(48))]
 
     #[test]
     fn delta_walk_matches_full_at_zero_threshold(
@@ -393,3 +363,492 @@ proptest! {
         }
     }
 }
+
+/// One literal row per (case, planner): the plan's `sink_level`, `rank`,
+/// `psi` bits, signature and bottleneck resource, or the error; after
+/// [`Planner::Random`] also the RNG's next `u64`.
+fn outcome_row(
+    ctx: &mut PlanCtx,
+    case: &str,
+    session: &qosr::model::SessionInstance,
+    view: &AvailabilityView,
+    planner: Planner,
+    seed: u64,
+) -> String {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
+    let outcome = match ctx.plan_session(session, view, &QrgOptions::default(), planner, &mut rng) {
+        Ok(p) => format!(
+            "level={} rank={} psi={:016x} sig={:?} bn={:?}",
+            p.sink_level,
+            p.rank,
+            p.psi.to_bits(),
+            p.signature(),
+            p.bottleneck.map(|b| b.resource.0)
+        ),
+        Err(e) => format!("{e:?}"),
+    };
+    let next = if planner == Planner::Random {
+        format!(" next={:016x}", rng.next_u64())
+    } else {
+        String::new()
+    };
+    format!("{case} {planner:?}: {outcome}{next}")
+}
+
+/// The chain rows: dense chains (k ≤ 6, q ≤ 5) under two random views
+/// each, with all four planners.
+fn chain_outcome_rows(ctx: &mut PlanCtx) -> Vec<String> {
+    let mut rows = Vec::new();
+    for k in 1..=6usize {
+        for q in 1..=5usize {
+            let (session, space) = synthetic_chain(k, q);
+            let seed = (10 * k + q) as u64;
+            let mut avail_rng = StdRng::seed_from_u64(seed);
+            for v in 0..2 {
+                let view = random_view(&space, &mut avail_rng);
+                for planner in ALL_PLANNERS {
+                    let case = format!("chain{k}x{q}/{v}");
+                    rows.push(outcome_row(ctx, &case, &session, &view, planner, seed));
+                }
+            }
+        }
+    }
+    rows
+}
+
+/// The DAG rows: random diamond DAGs under their own availability and
+/// one random view, with the two DAG planners.
+fn dag_outcome_rows(ctx: &mut PlanCtx) -> Vec<String> {
+    let mut rows = Vec::new();
+    for seed in 0..32u64 {
+        let (session, space, avail) = random_dag_scenario(seed);
+        let mut own = AvailabilityView::new();
+        for (i, rid) in space.ids().enumerate() {
+            own.set(rid, avail[i]);
+        }
+        let random = random_view(&space, &mut StdRng::seed_from_u64(seed.wrapping_add(1)));
+        for (v, view) in [own, random].iter().enumerate() {
+            for planner in [Planner::Tradeoff, Planner::Dag] {
+                let case = format!("dag{seed}/{v}");
+                rows.push(outcome_row(ctx, &case, &session, view, planner, seed));
+            }
+        }
+    }
+    rows
+}
+
+fn assert_rows_pinned(rows: &[String], pinned: &[&str]) {
+    assert_eq!(rows.len(), pinned.len());
+    for (got, want) in rows.iter().zip(pinned) {
+        assert_eq!(got, want);
+    }
+}
+
+/// The chain rows from a fresh context match the outcomes the legacy
+/// per-call graph construction produced.
+#[test]
+fn ctx_matches_legacy_on_chains() {
+    assert_rows_pinned(
+        &chain_outcome_rows(&mut PlanCtx::new()),
+        PINNED_CHAIN_OUTCOMES,
+    );
+}
+
+/// The DAG rows from a fresh context match the outcomes the legacy
+/// per-call graph construction produced.
+#[test]
+fn ctx_matches_legacy_on_dags() {
+    assert_rows_pinned(&dag_outcome_rows(&mut PlanCtx::new()), PINNED_DAG_OUTCOMES);
+}
+
+/// Every row, chains then DAGs, with one context serving every case.
+#[test]
+fn planner_outcomes_are_pinned() {
+    let mut ctx = PlanCtx::new();
+    let mut rows = chain_outcome_rows(&mut ctx);
+    rows.extend(dag_outcome_rows(&mut ctx));
+    let pinned: Vec<&str> = PINNED_CHAIN_OUTCOMES
+        .iter()
+        .chain(PINNED_DAG_OUTCOMES)
+        .copied()
+        .collect();
+    assert_rows_pinned(&rows, &pinned);
+}
+
+/// The outcomes of [`chain_outcome_rows`], recorded before the planner
+/// was reduced to one representation.
+const PINNED_CHAIN_OUTCOMES: &[&str] = &[
+    "chain1x1/0 Basic: level=0 rank=1 psi=3f90cba30fda95cb sig=[(0, 0, 0)] bn=Some(0)",
+    "chain1x1/0 Tradeoff: level=0 rank=1 psi=3f90cba30fda95cb sig=[(0, 0, 0)] bn=Some(0)",
+    "chain1x1/0 Random: level=0 rank=1 psi=3f90cba30fda95cb sig=[(0, 0, 0)] bn=Some(0) next=3096be0ce574416e",
+    "chain1x1/0 Dag: level=0 rank=1 psi=3f90cba30fda95cb sig=[(0, 0, 0)] bn=Some(0)",
+    "chain1x1/1 Basic: level=0 rank=1 psi=3fa7ca2fecaa4255 sig=[(0, 0, 0)] bn=Some(0)",
+    "chain1x1/1 Tradeoff: level=0 rank=1 psi=3fa7ca2fecaa4255 sig=[(0, 0, 0)] bn=Some(0)",
+    "chain1x1/1 Random: level=0 rank=1 psi=3fa7ca2fecaa4255 sig=[(0, 0, 0)] bn=Some(0) next=3096be0ce574416e",
+    "chain1x1/1 Dag: level=0 rank=1 psi=3fa7ca2fecaa4255 sig=[(0, 0, 0)] bn=Some(0)",
+    "chain1x2/0 Basic: level=1 rank=2 psi=3fa206d86473d2b0 sig=[(0, 0, 1)] bn=Some(0)",
+    "chain1x2/0 Tradeoff: level=1 rank=2 psi=3fa206d86473d2b0 sig=[(0, 0, 1)] bn=Some(0)",
+    "chain1x2/0 Random: level=1 rank=2 psi=3fa206d86473d2b0 sig=[(0, 0, 1)] bn=Some(0) next=108e71d0a1fe39b4",
+    "chain1x2/0 Dag: level=1 rank=2 psi=3fa206d86473d2b0 sig=[(0, 0, 1)] bn=Some(0)",
+    "chain1x2/1 Basic: level=1 rank=2 psi=3fa0843c2d952a91 sig=[(0, 0, 1)] bn=Some(0)",
+    "chain1x2/1 Tradeoff: level=1 rank=2 psi=3fa0843c2d952a91 sig=[(0, 0, 1)] bn=Some(0)",
+    "chain1x2/1 Random: level=1 rank=2 psi=3fa0843c2d952a91 sig=[(0, 0, 1)] bn=Some(0) next=108e71d0a1fe39b4",
+    "chain1x2/1 Dag: level=1 rank=2 psi=3fa0843c2d952a91 sig=[(0, 0, 1)] bn=Some(0)",
+    "chain1x3/0 Basic: NoFeasiblePlan",
+    "chain1x3/0 Tradeoff: NoFeasiblePlan",
+    "chain1x3/0 Random: NoFeasiblePlan next=4f698c2c0b770107",
+    "chain1x3/0 Dag: NoFeasiblePlan",
+    "chain1x3/1 Basic: level=2 rank=3 psi=3fc0cb0e19ffcf76 sig=[(0, 0, 2)] bn=Some(0)",
+    "chain1x3/1 Tradeoff: level=0 rank=1 psi=3fa5531e18e35095 sig=[(0, 0, 0)] bn=Some(0)",
+    "chain1x3/1 Random: level=2 rank=3 psi=3fc0cb0e19ffcf76 sig=[(0, 0, 2)] bn=Some(0) next=11ac0ea99e67991d",
+    "chain1x3/1 Dag: level=2 rank=3 psi=3fc0cb0e19ffcf76 sig=[(0, 0, 2)] bn=Some(0)",
+    "chain1x4/0 Basic: level=3 rank=4 psi=3fd91f789f557339 sig=[(0, 0, 3)] bn=Some(0)",
+    "chain1x4/0 Tradeoff: level=3 rank=4 psi=3fd91f789f557339 sig=[(0, 0, 3)] bn=Some(0)",
+    "chain1x4/0 Random: level=3 rank=4 psi=3fd91f789f557339 sig=[(0, 0, 3)] bn=Some(0) next=57ab44963f996e58",
+    "chain1x4/0 Dag: level=3 rank=4 psi=3fd91f789f557339 sig=[(0, 0, 3)] bn=Some(0)",
+    "chain1x4/1 Basic: level=3 rank=4 psi=3fb0865aeb5a3383 sig=[(0, 0, 3)] bn=Some(0)",
+    "chain1x4/1 Tradeoff: level=1 rank=2 psi=3fa499d7bf01847d sig=[(0, 0, 1)] bn=Some(0)",
+    "chain1x4/1 Random: level=3 rank=4 psi=3fb0865aeb5a3383 sig=[(0, 0, 3)] bn=Some(0) next=57ab44963f996e58",
+    "chain1x4/1 Dag: level=3 rank=4 psi=3fb0865aeb5a3383 sig=[(0, 0, 3)] bn=Some(0)",
+    "chain1x5/0 Basic: level=0 rank=1 psi=3fe404866dab4f13 sig=[(0, 0, 0)] bn=Some(0)",
+    "chain1x5/0 Tradeoff: level=0 rank=1 psi=3fe404866dab4f13 sig=[(0, 0, 0)] bn=Some(0)",
+    "chain1x5/0 Random: level=0 rank=1 psi=3fe404866dab4f13 sig=[(0, 0, 0)] bn=Some(0) next=1d000c030d8d007d",
+    "chain1x5/0 Dag: level=0 rank=1 psi=3fe404866dab4f13 sig=[(0, 0, 0)] bn=Some(0)",
+    "chain1x5/1 Basic: level=4 rank=5 psi=3fb642c12fbe5e93 sig=[(0, 0, 4)] bn=Some(0)",
+    "chain1x5/1 Tradeoff: level=1 rank=2 psi=3fa642c12fbe5e93 sig=[(0, 0, 1)] bn=Some(0)",
+    "chain1x5/1 Random: level=4 rank=5 psi=3fb642c12fbe5e93 sig=[(0, 0, 4)] bn=Some(0) next=1d000c030d8d007d",
+    "chain1x5/1 Dag: level=4 rank=5 psi=3fb642c12fbe5e93 sig=[(0, 0, 4)] bn=Some(0)",
+    "chain2x1/0 Basic: level=0 rank=1 psi=3f9d0c6cb0a942a9 sig=[(0, 0, 0), (1, 0, 0)] bn=Some(0)",
+    "chain2x1/0 Tradeoff: level=0 rank=1 psi=3f9d0c6cb0a942a9 sig=[(0, 0, 0), (1, 0, 0)] bn=Some(0)",
+    "chain2x1/0 Random: level=0 rank=1 psi=3f9d0c6cb0a942a9 sig=[(0, 0, 0), (1, 0, 0)] bn=Some(0) next=a67d6c99e3e2b0ae",
+    "chain2x1/0 Dag: level=0 rank=1 psi=3f9d0c6cb0a942a9 sig=[(0, 0, 0), (1, 0, 0)] bn=Some(0)",
+    "chain2x1/1 Basic: level=0 rank=1 psi=3f9c28276d6399f5 sig=[(0, 0, 0), (1, 0, 0)] bn=Some(1)",
+    "chain2x1/1 Tradeoff: level=0 rank=1 psi=3f9c28276d6399f5 sig=[(0, 0, 0), (1, 0, 0)] bn=Some(1)",
+    "chain2x1/1 Random: level=0 rank=1 psi=3f9c28276d6399f5 sig=[(0, 0, 0), (1, 0, 0)] bn=Some(1) next=a67d6c99e3e2b0ae",
+    "chain2x1/1 Dag: level=0 rank=1 psi=3f9c28276d6399f5 sig=[(0, 0, 0), (1, 0, 0)] bn=Some(1)",
+    "chain2x2/0 Basic: level=1 rank=2 psi=3faaac476aa39384 sig=[(0, 0, 0), (1, 0, 1)] bn=Some(1)",
+    "chain2x2/0 Tradeoff: level=1 rank=2 psi=3faaac476aa39384 sig=[(0, 0, 0), (1, 0, 1)] bn=Some(1)",
+    "chain2x2/0 Random: level=1 rank=2 psi=3fbace21e8d177de sig=[(0, 0, 1), (1, 1, 1)] bn=Some(0) next=6680503c181143c7",
+    "chain2x2/0 Dag: level=1 rank=2 psi=3faaac476aa39384 sig=[(0, 0, 0), (1, 0, 1)] bn=Some(1)",
+    "chain2x2/1 Basic: NoFeasiblePlan",
+    "chain2x2/1 Tradeoff: NoFeasiblePlan",
+    "chain2x2/1 Random: NoFeasiblePlan next=0686fbcd3999e63f",
+    "chain2x2/1 Dag: NoFeasiblePlan",
+    "chain2x3/0 Basic: level=0 rank=1 psi=3fee2d340bf0bdec sig=[(0, 0, 0), (1, 0, 0)] bn=Some(1)",
+    "chain2x3/0 Tradeoff: level=0 rank=1 psi=3fee2d340bf0bdec sig=[(0, 0, 0), (1, 0, 0)] bn=Some(1)",
+    "chain2x3/0 Random: level=0 rank=1 psi=3fee2d340bf0bdec sig=[(0, 0, 0), (1, 0, 0)] bn=Some(1) next=eaf64fbc8fc56c5a",
+    "chain2x3/0 Dag: level=0 rank=1 psi=3fee2d340bf0bdec sig=[(0, 0, 0), (1, 0, 0)] bn=Some(1)",
+    "chain2x3/1 Basic: level=0 rank=1 psi=3fec42b1574d1367 sig=[(0, 0, 0), (1, 0, 0)] bn=Some(1)",
+    "chain2x3/1 Tradeoff: level=0 rank=1 psi=3fec42b1574d1367 sig=[(0, 0, 0), (1, 0, 0)] bn=Some(1)",
+    "chain2x3/1 Random: level=0 rank=1 psi=3fec42b1574d1367 sig=[(0, 0, 0), (1, 0, 0)] bn=Some(1) next=eaf64fbc8fc56c5a",
+    "chain2x3/1 Dag: level=0 rank=1 psi=3fec42b1574d1367 sig=[(0, 0, 0), (1, 0, 0)] bn=Some(1)",
+    "chain2x4/0 Basic: level=3 rank=4 psi=3fa8cf1595863243 sig=[(0, 0, 0), (1, 0, 3)] bn=Some(1)",
+    "chain2x4/0 Tradeoff: level=3 rank=4 psi=3fa8cf1595863243 sig=[(0, 0, 0), (1, 0, 3)] bn=Some(1)",
+    "chain2x4/0 Random: level=3 rank=4 psi=3fba254173fe1126 sig=[(0, 0, 1), (1, 1, 3)] bn=Some(0) next=684bfc01e17df7af",
+    "chain2x4/0 Dag: level=3 rank=4 psi=3fa8cf1595863243 sig=[(0, 0, 0), (1, 0, 3)] bn=Some(1)",
+    "chain2x4/1 Basic: level=3 rank=4 psi=3fb2ef16a1d7f41e sig=[(0, 0, 3), (1, 3, 3)] bn=Some(1)",
+    "chain2x4/1 Tradeoff: level=0 rank=1 psi=3fa03aa5af4b6387 sig=[(0, 0, 0), (1, 0, 0)] bn=Some(1)",
+    "chain2x4/1 Random: level=3 rank=4 psi=3fb992b780d3e2a6 sig=[(0, 0, 1), (1, 1, 3)] bn=Some(1) next=684bfc01e17df7af",
+    "chain2x4/1 Dag: level=3 rank=4 psi=3fb2ef16a1d7f41e sig=[(0, 0, 3), (1, 3, 3)] bn=Some(1)",
+    "chain2x5/0 Basic: level=4 rank=5 psi=3fcc0e6685966978 sig=[(0, 0, 4), (1, 4, 4)] bn=Some(1)",
+    "chain2x5/0 Tradeoff: level=1 rank=2 psi=3fbd2db24d7db55e sig=[(0, 0, 1), (1, 1, 1)] bn=Some(1)",
+    "chain2x5/0 Random: level=4 rank=5 psi=3fd2846262686454 sig=[(0, 0, 2), (1, 2, 4)] bn=Some(1) next=fe6346d8f74af021",
+    "chain2x5/0 Dag: level=4 rank=5 psi=3fcc0e6685966978 sig=[(0, 0, 4), (1, 4, 4)] bn=Some(1)",
+    "chain2x5/1 Basic: level=4 rank=5 psi=3fb3114a55a68957 sig=[(0, 0, 4), (1, 4, 4)] bn=Some(1)",
+    "chain2x5/1 Tradeoff: level=1 rank=2 psi=3fa3d48abf79ff79 sig=[(0, 0, 1), (1, 1, 1)] bn=Some(1)",
+    "chain2x5/1 Random: level=4 rank=5 psi=3fb92b4da4423a68 sig=[(0, 0, 2), (1, 2, 4)] bn=Some(1) next=fe6346d8f74af021",
+    "chain2x5/1 Dag: level=4 rank=5 psi=3fb3114a55a68957 sig=[(0, 0, 4), (1, 4, 4)] bn=Some(1)",
+    "chain3x1/0 Basic: level=0 rank=1 psi=3fe077f837534af1 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0)] bn=Some(0)",
+    "chain3x1/0 Tradeoff: level=0 rank=1 psi=3fe077f837534af1 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0)] bn=Some(0)",
+    "chain3x1/0 Random: level=0 rank=1 psi=3fe077f837534af1 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0)] bn=Some(0) next=4f4970ef25a9328f",
+    "chain3x1/0 Dag: level=0 rank=1 psi=3fe077f837534af1 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0)] bn=Some(0)",
+    "chain3x1/1 Basic: level=0 rank=1 psi=3fc3a9fa212ba4d7 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0)] bn=Some(0)",
+    "chain3x1/1 Tradeoff: level=0 rank=1 psi=3fc3a9fa212ba4d7 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0)] bn=Some(0)",
+    "chain3x1/1 Random: level=0 rank=1 psi=3fc3a9fa212ba4d7 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0)] bn=Some(0) next=4f4970ef25a9328f",
+    "chain3x1/1 Dag: level=0 rank=1 psi=3fc3a9fa212ba4d7 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0)] bn=Some(0)",
+    "chain3x2/0 Basic: level=1 rank=2 psi=3fcb423afb477bb1 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 1)] bn=Some(2)",
+    "chain3x2/0 Tradeoff: level=1 rank=2 psi=3fcb423afb477bb1 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 1)] bn=Some(2)",
+    "chain3x2/0 Random: level=1 rank=2 psi=3fcdfc0dae01d4de sig=[(0, 0, 1), (1, 1, 1), (2, 1, 1)] bn=Some(2) next=b29041342be1fdf6",
+    "chain3x2/0 Dag: level=1 rank=2 psi=3fcb423afb477bb1 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 1)] bn=Some(2)",
+    "chain3x2/1 Basic: NoFeasiblePlan",
+    "chain3x2/1 Tradeoff: NoFeasiblePlan",
+    "chain3x2/1 Random: NoFeasiblePlan next=430cdd36323272b3",
+    "chain3x2/1 Dag: NoFeasiblePlan",
+    "chain3x3/0 Basic: level=2 rank=3 psi=3fb955b06a8f8cda sig=[(0, 0, 2), (1, 2, 2), (2, 2, 2)] bn=Some(2)",
+    "chain3x3/0 Tradeoff: level=0 rank=1 psi=3fb0e3caf1b50891 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0)] bn=Some(2)",
+    "chain3x3/0 Random: level=2 rank=3 psi=3fb955b06a8f8cda sig=[(0, 0, 2), (1, 2, 2), (2, 2, 2)] bn=Some(2) next=4065782ad47fdc27",
+    "chain3x3/0 Dag: level=2 rank=3 psi=3fb955b06a8f8cda sig=[(0, 0, 2), (1, 2, 2), (2, 2, 2)] bn=Some(2)",
+    "chain3x3/1 Basic: level=2 rank=3 psi=3fac9790a1fe153a sig=[(0, 0, 0), (1, 0, 0), (2, 0, 2)] bn=Some(2)",
+    "chain3x3/1 Tradeoff: level=2 rank=3 psi=3fac9790a1fe153a sig=[(0, 0, 0), (1, 0, 0), (2, 0, 2)] bn=Some(2)",
+    "chain3x3/1 Random: level=2 rank=3 psi=3fbe3f3e977b47bc sig=[(0, 0, 2), (1, 2, 2), (2, 2, 2)] bn=Some(0) next=4065782ad47fdc27",
+    "chain3x3/1 Dag: level=2 rank=3 psi=3fac9790a1fe153a sig=[(0, 0, 0), (1, 0, 0), (2, 0, 2)] bn=Some(2)",
+    "chain3x4/0 Basic: level=3 rank=4 psi=3faed2f589351d48 sig=[(0, 0, 1), (1, 1, 1), (2, 1, 3)] bn=Some(2)",
+    "chain3x4/0 Tradeoff: level=3 rank=4 psi=3faed2f589351d48 sig=[(0, 0, 1), (1, 1, 1), (2, 1, 3)] bn=Some(2)",
+    "chain3x4/0 Random: level=3 rank=4 psi=3fb328f9cf9aca3a sig=[(0, 0, 3), (1, 3, 3), (2, 3, 3)] bn=Some(1) next=0d494f43e03826a0",
+    "chain3x4/0 Dag: level=3 rank=4 psi=3faed2f589351d48 sig=[(0, 0, 1), (1, 1, 1), (2, 1, 3)] bn=Some(2)",
+    "chain3x4/1 Basic: level=3 rank=4 psi=3faffe4f08578c77 sig=[(0, 0, 2), (1, 2, 2), (2, 2, 3)] bn=Some(2)",
+    "chain3x4/1 Tradeoff: level=3 rank=4 psi=3faffe4f08578c77 sig=[(0, 0, 2), (1, 2, 2), (2, 2, 3)] bn=Some(2)",
+    "chain3x4/1 Random: level=3 rank=4 psi=3fb17370ed4706cc sig=[(0, 0, 3), (1, 3, 3), (2, 3, 3)] bn=Some(2) next=0d494f43e03826a0",
+    "chain3x4/1 Dag: level=3 rank=4 psi=3faffe4f08578c77 sig=[(0, 0, 2), (1, 2, 2), (2, 2, 3)] bn=Some(2)",
+    "chain3x5/0 Basic: level=4 rank=5 psi=3fc8f320fed28161 sig=[(0, 0, 3), (1, 3, 3), (2, 3, 4)] bn=Some(1)",
+    "chain3x5/0 Tradeoff: level=4 rank=5 psi=3fc8f320fed28161 sig=[(0, 0, 3), (1, 3, 3), (2, 3, 4)] bn=Some(1)",
+    "chain3x5/0 Random: level=4 rank=5 psi=3fd0337c7d92aa74 sig=[(0, 0, 1), (1, 1, 4), (2, 4, 4)] bn=Some(1) next=d63d202327041262",
+    "chain3x5/0 Dag: level=4 rank=5 psi=3fc8f320fed28161 sig=[(0, 0, 3), (1, 3, 3), (2, 3, 4)] bn=Some(1)",
+    "chain3x5/1 Basic: level=4 rank=5 psi=3fcb3b3317266844 sig=[(0, 0, 0), (1, 0, 3), (2, 3, 4)] bn=Some(2)",
+    "chain3x5/1 Tradeoff: level=4 rank=5 psi=3fcb3b3317266844 sig=[(0, 0, 0), (1, 0, 3), (2, 3, 4)] bn=Some(2)",
+    "chain3x5/1 Random: level=4 rank=5 psi=3fcdf451ccaa3f7e sig=[(0, 0, 1), (1, 1, 4), (2, 4, 4)] bn=Some(2) next=d63d202327041262",
+    "chain3x5/1 Dag: level=4 rank=5 psi=3fcb3b3317266844 sig=[(0, 0, 0), (1, 0, 3), (2, 3, 4)] bn=Some(2)",
+    "chain4x1/0 Basic: level=0 rank=1 psi=3febaedfc680bc0f sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)] bn=Some(2)",
+    "chain4x1/0 Tradeoff: level=0 rank=1 psi=3febaedfc680bc0f sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)] bn=Some(2)",
+    "chain4x1/0 Random: level=0 rank=1 psi=3febaedfc680bc0f sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)] bn=Some(2) next=5d481ebaedc20a67",
+    "chain4x1/0 Dag: level=0 rank=1 psi=3febaedfc680bc0f sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)] bn=Some(2)",
+    "chain4x1/1 Basic: level=0 rank=1 psi=3fa9392a531904e9 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)] bn=Some(2)",
+    "chain4x1/1 Tradeoff: level=0 rank=1 psi=3fa9392a531904e9 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)] bn=Some(2)",
+    "chain4x1/1 Random: level=0 rank=1 psi=3fa9392a531904e9 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)] bn=Some(2) next=5d481ebaedc20a67",
+    "chain4x1/1 Dag: level=0 rank=1 psi=3fa9392a531904e9 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)] bn=Some(2)",
+    "chain4x2/0 Basic: NoFeasiblePlan",
+    "chain4x2/0 Tradeoff: NoFeasiblePlan",
+    "chain4x2/0 Random: NoFeasiblePlan next=efdb3abe2d004720",
+    "chain4x2/0 Dag: NoFeasiblePlan",
+    "chain4x2/1 Basic: level=1 rank=2 psi=3fc0f955f90a19e3 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 1)] bn=Some(0)",
+    "chain4x2/1 Tradeoff: level=1 rank=2 psi=3fc0f955f90a19e3 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 1)] bn=Some(0)",
+    "chain4x2/1 Random: level=1 rank=2 psi=3fc0f955f90a19e3 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 1), (3, 1, 1)] bn=Some(0) next=5d1c1980e4d3bf09",
+    "chain4x2/1 Dag: level=1 rank=2 psi=3fc0f955f90a19e3 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 1)] bn=Some(0)",
+    "chain4x3/0 Basic: NoFeasiblePlan",
+    "chain4x3/0 Tradeoff: NoFeasiblePlan",
+    "chain4x3/0 Random: NoFeasiblePlan next=7f6ec036c3408d8e",
+    "chain4x3/0 Dag: NoFeasiblePlan",
+    "chain4x3/1 Basic: NoFeasiblePlan",
+    "chain4x3/1 Tradeoff: NoFeasiblePlan",
+    "chain4x3/1 Random: NoFeasiblePlan next=7f6ec036c3408d8e",
+    "chain4x3/1 Dag: NoFeasiblePlan",
+    "chain4x4/0 Basic: NoFeasiblePlan",
+    "chain4x4/0 Tradeoff: NoFeasiblePlan",
+    "chain4x4/0 Random: NoFeasiblePlan next=b73d33a86d6bc79e",
+    "chain4x4/0 Dag: NoFeasiblePlan",
+    "chain4x4/1 Basic: NoFeasiblePlan",
+    "chain4x4/1 Tradeoff: NoFeasiblePlan",
+    "chain4x4/1 Random: NoFeasiblePlan next=b73d33a86d6bc79e",
+    "chain4x4/1 Dag: NoFeasiblePlan",
+    "chain4x5/0 Basic: level=4 rank=5 psi=3fbb758710d61b70 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 3), (3, 3, 4)] bn=Some(1)",
+    "chain4x5/0 Tradeoff: level=4 rank=5 psi=3fbb758710d61b70 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 3), (3, 3, 4)] bn=Some(1)",
+    "chain4x5/0 Random: level=4 rank=5 psi=3fc0a451dba88cc0 sig=[(0, 0, 2), (1, 2, 0), (2, 0, 2), (3, 2, 4)] bn=Some(1) next=c75a7f7d4c1beb09",
+    "chain4x5/0 Dag: level=4 rank=5 psi=3fbb758710d61b70 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 3), (3, 3, 4)] bn=Some(1)",
+    "chain4x5/1 Basic: level=4 rank=5 psi=3fb911179283bfcf sig=[(0, 0, 0), (1, 0, 2), (2, 2, 2), (3, 2, 4)] bn=Some(2)",
+    "chain4x5/1 Tradeoff: level=4 rank=5 psi=3fb911179283bfcf sig=[(0, 0, 0), (1, 0, 2), (2, 2, 2), (3, 2, 4)] bn=Some(2)",
+    "chain4x5/1 Random: level=4 rank=5 psi=3fc19dca2a85d5bc sig=[(0, 0, 2), (1, 2, 0), (2, 0, 2), (3, 2, 4)] bn=Some(2) next=c75a7f7d4c1beb09",
+    "chain4x5/1 Dag: level=4 rank=5 psi=3fb911179283bfcf sig=[(0, 0, 0), (1, 0, 2), (2, 2, 2), (3, 2, 4)] bn=Some(2)",
+    "chain5x1/0 Basic: NoFeasiblePlan",
+    "chain5x1/0 Tradeoff: NoFeasiblePlan",
+    "chain5x1/0 Random: NoFeasiblePlan next=480a80e9cc9d3ddb",
+    "chain5x1/0 Dag: NoFeasiblePlan",
+    "chain5x1/1 Basic: NoFeasiblePlan",
+    "chain5x1/1 Tradeoff: NoFeasiblePlan",
+    "chain5x1/1 Random: NoFeasiblePlan next=480a80e9cc9d3ddb",
+    "chain5x1/1 Dag: NoFeasiblePlan",
+    "chain5x2/0 Basic: NoFeasiblePlan",
+    "chain5x2/0 Tradeoff: NoFeasiblePlan",
+    "chain5x2/0 Random: NoFeasiblePlan next=f7c8daf8808df870",
+    "chain5x2/0 Dag: NoFeasiblePlan",
+    "chain5x2/1 Basic: NoFeasiblePlan",
+    "chain5x2/1 Tradeoff: NoFeasiblePlan",
+    "chain5x2/1 Random: NoFeasiblePlan next=f7c8daf8808df870",
+    "chain5x2/1 Dag: NoFeasiblePlan",
+    "chain5x3/0 Basic: NoFeasiblePlan",
+    "chain5x3/0 Tradeoff: NoFeasiblePlan",
+    "chain5x3/0 Random: NoFeasiblePlan next=39a214892d21cdd6",
+    "chain5x3/0 Dag: NoFeasiblePlan",
+    "chain5x3/1 Basic: level=2 rank=3 psi=3fb4866804f50e5d sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 2)] bn=Some(1)",
+    "chain5x3/1 Tradeoff: level=2 rank=3 psi=3fb4866804f50e5d sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 2)] bn=Some(1)",
+    "chain5x3/1 Random: level=2 rank=3 psi=3fb4866804f50e5d sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 1), (4, 1, 2)] bn=Some(1) next=6e68befaa8a51fcd",
+    "chain5x3/1 Dag: level=2 rank=3 psi=3fb4866804f50e5d sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 2)] bn=Some(1)",
+    "chain5x4/0 Basic: NoFeasiblePlan",
+    "chain5x4/0 Tradeoff: NoFeasiblePlan",
+    "chain5x4/0 Random: NoFeasiblePlan next=b31d30effea91c48",
+    "chain5x4/0 Dag: NoFeasiblePlan",
+    "chain5x4/1 Basic: NoFeasiblePlan",
+    "chain5x4/1 Tradeoff: NoFeasiblePlan",
+    "chain5x4/1 Random: NoFeasiblePlan next=b31d30effea91c48",
+    "chain5x4/1 Dag: NoFeasiblePlan",
+    "chain5x5/0 Basic: level=4 rank=5 psi=3fc08b4a3fbbcc2a sig=[(0, 0, 0), (1, 0, 0), (2, 0, 1), (3, 1, 2), (4, 2, 4)] bn=Some(4)",
+    "chain5x5/0 Tradeoff: level=4 rank=5 psi=3fc08b4a3fbbcc2a sig=[(0, 0, 0), (1, 0, 0), (2, 0, 1), (3, 1, 2), (4, 2, 4)] bn=Some(4)",
+    "chain5x5/0 Random: level=4 rank=5 psi=3fc6d82f34bfd687 sig=[(0, 0, 2), (1, 2, 4), (2, 4, 4), (3, 4, 1), (4, 1, 4)] bn=Some(3) next=a58335590efb4c50",
+    "chain5x5/0 Dag: level=4 rank=5 psi=3fc08b4a3fbbcc2a sig=[(0, 0, 0), (1, 0, 0), (2, 0, 1), (3, 1, 2), (4, 2, 4)] bn=Some(4)",
+    "chain5x5/1 Basic: level=4 rank=5 psi=3fca5421bb76b781 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 2), (3, 2, 4), (4, 4, 4)] bn=Some(4)",
+    "chain5x5/1 Tradeoff: level=4 rank=5 psi=3fca5421bb76b781 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 2), (3, 2, 4), (4, 4, 4)] bn=Some(4)",
+    "chain5x5/1 Random: level=4 rank=5 psi=3fcf07ba0aa75845 sig=[(0, 0, 2), (1, 2, 4), (2, 4, 4), (3, 4, 1), (4, 1, 4)] bn=Some(4) next=a58335590efb4c50",
+    "chain5x5/1 Dag: level=4 rank=5 psi=3fca5421bb76b781 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 2), (3, 2, 4), (4, 4, 4)] bn=Some(4)",
+    "chain6x1/0 Basic: NoFeasiblePlan",
+    "chain6x1/0 Tradeoff: NoFeasiblePlan",
+    "chain6x1/0 Random: NoFeasiblePlan next=f16e1d12643a227f",
+    "chain6x1/0 Dag: NoFeasiblePlan",
+    "chain6x1/1 Basic: level=0 rank=1 psi=3fd38d7d1348eaac sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0), (5, 0, 0)] bn=Some(5)",
+    "chain6x1/1 Tradeoff: level=0 rank=1 psi=3fd38d7d1348eaac sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0), (5, 0, 0)] bn=Some(5)",
+    "chain6x1/1 Random: level=0 rank=1 psi=3fd38d7d1348eaac sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0), (5, 0, 0)] bn=Some(5) next=7ea98c032dfc272a",
+    "chain6x1/1 Dag: level=0 rank=1 psi=3fd38d7d1348eaac sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0), (5, 0, 0)] bn=Some(5)",
+    "chain6x2/0 Basic: level=1 rank=2 psi=3fe844c5755f90ad sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 1), (4, 1, 1), (5, 1, 1)] bn=Some(1)",
+    "chain6x2/0 Tradeoff: level=1 rank=2 psi=3fe844c5755f90ad sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 1), (4, 1, 1), (5, 1, 1)] bn=Some(1)",
+    "chain6x2/0 Random: level=1 rank=2 psi=3fefde2f3f9f1b12 sig=[(0, 0, 1), (1, 1, 1), (2, 1, 0), (3, 0, 1), (4, 1, 1), (5, 1, 1)] bn=Some(1) next=dbdf89aa1fa92b1b",
+    "chain6x2/0 Dag: level=1 rank=2 psi=3fe844c5755f90ad sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 1), (4, 1, 1), (5, 1, 1)] bn=Some(1)",
+    "chain6x2/1 Basic: NoFeasiblePlan",
+    "chain6x2/1 Tradeoff: NoFeasiblePlan",
+    "chain6x2/1 Random: NoFeasiblePlan next=840dc9bb08dfa5d3",
+    "chain6x2/1 Dag: NoFeasiblePlan",
+    "chain6x3/0 Basic: NoFeasiblePlan",
+    "chain6x3/0 Tradeoff: NoFeasiblePlan",
+    "chain6x3/0 Random: NoFeasiblePlan next=cbe93e3379ff863d",
+    "chain6x3/0 Dag: NoFeasiblePlan",
+    "chain6x3/1 Basic: NoFeasiblePlan",
+    "chain6x3/1 Tradeoff: NoFeasiblePlan",
+    "chain6x3/1 Random: NoFeasiblePlan next=cbe93e3379ff863d",
+    "chain6x3/1 Dag: NoFeasiblePlan",
+    "chain6x4/0 Basic: NoFeasiblePlan",
+    "chain6x4/0 Tradeoff: NoFeasiblePlan",
+    "chain6x4/0 Random: NoFeasiblePlan next=8964992678e1544a",
+    "chain6x4/0 Dag: NoFeasiblePlan",
+    "chain6x4/1 Basic: NoFeasiblePlan",
+    "chain6x4/1 Tradeoff: NoFeasiblePlan",
+    "chain6x4/1 Random: NoFeasiblePlan next=8964992678e1544a",
+    "chain6x4/1 Dag: NoFeasiblePlan",
+    "chain6x5/0 Basic: NoFeasiblePlan",
+    "chain6x5/0 Tradeoff: NoFeasiblePlan",
+    "chain6x5/0 Random: NoFeasiblePlan next=5de2dc477b1d3cf3",
+    "chain6x5/0 Dag: NoFeasiblePlan",
+    "chain6x5/1 Basic: level=4 rank=5 psi=3fe529e4c77ca58c sig=[(0, 0, 0), (1, 0, 2), (2, 2, 3), (3, 3, 4), (4, 4, 4), (5, 4, 4)] bn=Some(0)",
+    "chain6x5/1 Tradeoff: level=4 rank=5 psi=3fe529e4c77ca58c sig=[(0, 0, 0), (1, 0, 2), (2, 2, 3), (3, 3, 4), (4, 4, 4), (5, 4, 4)] bn=Some(0)",
+    "chain6x5/1 Random: level=4 rank=5 psi=3fe529e4c77ca58c sig=[(0, 0, 0), (1, 0, 1), (2, 1, 0), (3, 0, 2), (4, 2, 0), (5, 0, 4)] bn=Some(0) next=e5cc0f42bb38ac03",
+    "chain6x5/1 Dag: level=4 rank=5 psi=3fe529e4c77ca58c sig=[(0, 0, 0), (1, 0, 2), (2, 2, 3), (3, 3, 4), (4, 4, 4), (5, 4, 4)] bn=Some(0)",
+];
+
+/// The outcomes of [`dag_outcome_rows`], recorded alongside
+/// [`PINNED_CHAIN_OUTCOMES`].
+const PINNED_DAG_OUTCOMES: &[&str] = &[
+    "dag0/0 Tradeoff: NoFeasiblePlan",
+    "dag0/0 Dag: NoFeasiblePlan",
+    "dag0/1 Tradeoff: level=0 rank=2 psi=3fe5ab441f10b6a2 sig=[(0, 0, 1), (1, 1, 0), (2, 0, 1), (3, 0, 1), (4, 0, 2), (5, 10, 0)] bn=Some(1)",
+    "dag0/1 Dag: level=0 rank=2 psi=3fe5ab441f10b6a2 sig=[(0, 0, 1), (1, 1, 0), (2, 0, 1), (3, 0, 1), (4, 0, 2), (5, 10, 0)] bn=Some(1)",
+    "dag1/0 Tradeoff: level=0 rank=3 psi=3fddc5f6eb6f69bc sig=[(0, 0, 1), (1, 1, 1), (2, 1, 0), (3, 1, 1), (4, 1, 0), (5, 3, 0)] bn=Some(0)",
+    "dag1/0 Dag: level=0 rank=3 psi=3fddc5f6eb6f69bc sig=[(0, 0, 1), (1, 1, 1), (2, 1, 0), (3, 1, 1), (4, 1, 0), (5, 3, 0)] bn=Some(0)",
+    "dag1/1 Tradeoff: level=0 rank=3 psi=3fd03fbf90b398e3 sig=[(0, 0, 1), (1, 1, 1), (2, 1, 0), (3, 1, 1), (4, 1, 0), (5, 3, 0)] bn=Some(1)",
+    "dag1/1 Dag: level=0 rank=3 psi=3fd03fbf90b398e3 sig=[(0, 0, 1), (1, 1, 1), (2, 1, 0), (3, 1, 1), (4, 1, 0), (5, 3, 0)] bn=Some(1)",
+    "dag2/0 Tradeoff: NoFeasiblePlan",
+    "dag2/0 Dag: NoFeasiblePlan",
+    "dag2/1 Tradeoff: NoFeasiblePlan",
+    "dag2/1 Dag: NoFeasiblePlan",
+    "dag3/0 Tradeoff: NoFeasiblePlan",
+    "dag3/0 Dag: NoFeasiblePlan",
+    "dag3/1 Tradeoff: NoFeasiblePlan",
+    "dag3/1 Dag: NoFeasiblePlan",
+    "dag4/0 Tradeoff: level=0 rank=1 psi=3fed8b354a9b7284 sig=[(0, 0, 0), (1, 0, 2), (2, 2, 0), (3, 2, 0), (4, 0, 0)] bn=Some(2)",
+    "dag4/0 Dag: level=0 rank=1 psi=3fed8b354a9b7284 sig=[(0, 0, 0), (1, 0, 2), (2, 2, 0), (3, 2, 0), (4, 0, 0)] bn=Some(2)",
+    "dag4/1 Tradeoff: NoFeasiblePlan",
+    "dag4/1 Dag: NoFeasiblePlan",
+    "dag5/0 Tradeoff: NoFeasiblePlan",
+    "dag5/0 Dag: NoFeasiblePlan",
+    "dag5/1 Tradeoff: NoFeasiblePlan",
+    "dag5/1 Dag: NoFeasiblePlan",
+    "dag6/0 Tradeoff: NoFeasiblePlan",
+    "dag6/0 Dag: NoFeasiblePlan",
+    "dag6/1 Tradeoff: NoFeasiblePlan",
+    "dag6/1 Dag: NoFeasiblePlan",
+    "dag7/0 Tradeoff: NoFeasiblePlan",
+    "dag7/0 Dag: NoFeasiblePlan",
+    "dag7/1 Tradeoff: level=0 rank=1 psi=3fee9cbcb11ffe28 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0)] bn=Some(0)",
+    "dag7/1 Dag: level=0 rank=1 psi=3fee9cbcb11ffe28 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0)] bn=Some(0)",
+    "dag8/0 Tradeoff: level=1 rank=2 psi=3fd737dcfed9a828 sig=[(0, 0, 0), (1, 0, 1), (2, 0, 0), (3, 0, 1), (4, 5, 1), (5, 1, 1)] bn=Some(1)",
+    "dag8/0 Dag: level=1 rank=2 psi=3fd737dcfed9a828 sig=[(0, 0, 0), (1, 0, 1), (2, 0, 0), (3, 0, 1), (4, 5, 1), (5, 1, 1)] bn=Some(1)",
+    "dag8/1 Tradeoff: NoFeasiblePlan",
+    "dag8/1 Dag: NoFeasiblePlan",
+    "dag9/0 Tradeoff: NoFeasiblePlan",
+    "dag9/0 Dag: NoFeasiblePlan",
+    "dag9/1 Tradeoff: NoFeasiblePlan",
+    "dag9/1 Dag: NoFeasiblePlan",
+    "dag10/0 Tradeoff: level=1 rank=2 psi=3fd8d6d30c61555b sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 1)] bn=Some(1)",
+    "dag10/0 Dag: level=1 rank=2 psi=3fd8d6d30c61555b sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 1)] bn=Some(1)",
+    "dag10/1 Tradeoff: level=1 rank=2 psi=3fe5dfe64756e635 sig=[(0, 0, 2), (1, 2, 0), (2, 2, 0), (3, 0, 1)] bn=Some(1)",
+    "dag10/1 Dag: level=1 rank=2 psi=3fe5dfe64756e635 sig=[(0, 0, 2), (1, 2, 0), (2, 2, 0), (3, 0, 1)] bn=Some(1)",
+    "dag11/0 Tradeoff: NoFeasiblePlan",
+    "dag11/0 Dag: NoFeasiblePlan",
+    "dag11/1 Tradeoff: NoFeasiblePlan",
+    "dag11/1 Dag: NoFeasiblePlan",
+    "dag12/0 Tradeoff: NoFeasiblePlan",
+    "dag12/0 Dag: NoFeasiblePlan",
+    "dag12/1 Tradeoff: NoFeasiblePlan",
+    "dag12/1 Dag: NoFeasiblePlan",
+    "dag13/0 Tradeoff: NoFeasiblePlan",
+    "dag13/0 Dag: NoFeasiblePlan",
+    "dag13/1 Tradeoff: BacktrackFailed { sink_level: 1 }",
+    "dag13/1 Dag: BacktrackFailed { sink_level: 1 }",
+    "dag14/0 Tradeoff: level=1 rank=2 psi=3fd4b35ecc743e13 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 1), (5, 1, 0), (6, 0, 1)] bn=Some(2)",
+    "dag14/0 Dag: level=1 rank=2 psi=3fd4b35ecc743e13 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 1), (5, 1, 0), (6, 0, 1)] bn=Some(2)",
+    "dag14/1 Tradeoff: NoFeasiblePlan",
+    "dag14/1 Dag: NoFeasiblePlan",
+    "dag15/0 Tradeoff: NoFeasiblePlan",
+    "dag15/0 Dag: NoFeasiblePlan",
+    "dag15/1 Tradeoff: NoFeasiblePlan",
+    "dag15/1 Dag: NoFeasiblePlan",
+    "dag16/0 Tradeoff: level=0 rank=1 psi=3fecd1b393834ab7 sig=[(0, 0, 1), (1, 1, 0), (2, 0, 2), (3, 0, 1), (4, 0, 2), (5, 18, 0)] bn=Some(2)",
+    "dag16/0 Dag: level=0 rank=1 psi=3fecd1b393834ab7 sig=[(0, 0, 1), (1, 1, 0), (2, 0, 2), (3, 0, 1), (4, 0, 2), (5, 18, 0)] bn=Some(2)",
+    "dag16/1 Tradeoff: NoFeasiblePlan",
+    "dag16/1 Dag: NoFeasiblePlan",
+    "dag17/0 Tradeoff: level=0 rank=1 psi=3fc8f105efb0a906 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 1), (3, 0, 1), (4, 0, 2), (5, 7, 0)] bn=Some(1)",
+    "dag17/0 Dag: level=0 rank=1 psi=3fc8f105efb0a906 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 1), (3, 0, 1), (4, 0, 2), (5, 7, 0)] bn=Some(1)",
+    "dag17/1 Tradeoff: NoFeasiblePlan",
+    "dag17/1 Dag: NoFeasiblePlan",
+    "dag18/0 Tradeoff: level=0 rank=2 psi=3fde4ac45e055b38 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 2), (5, 1, 0)] bn=Some(1)",
+    "dag18/0 Dag: level=0 rank=2 psi=3fde4ac45e055b38 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 2), (5, 1, 0)] bn=Some(1)",
+    "dag18/1 Tradeoff: level=0 rank=2 psi=3fd55a84127cacab sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 2), (5, 1, 0)] bn=Some(0)",
+    "dag18/1 Dag: level=0 rank=2 psi=3fd55a84127cacab sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 2), (5, 1, 0)] bn=Some(0)",
+    "dag19/0 Tradeoff: level=0 rank=1 psi=3fdf0e40e052a72c sig=[(0, 0, 0), (1, 0, 1), (2, 0, 0), (3, 0, 0), (4, 1, 0)] bn=Some(0)",
+    "dag19/0 Dag: level=0 rank=1 psi=3fdf0e40e052a72c sig=[(0, 0, 0), (1, 0, 1), (2, 0, 0), (3, 0, 0), (4, 1, 0)] bn=Some(0)",
+    "dag19/1 Tradeoff: level=0 rank=1 psi=3fe068bb83ced475 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0)] bn=Some(0)",
+    "dag19/1 Dag: level=0 rank=1 psi=3fe068bb83ced475 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0)] bn=Some(0)",
+    "dag20/0 Tradeoff: level=0 rank=1 psi=3fd192c99b35c9b6 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)] bn=Some(0)",
+    "dag20/0 Dag: level=0 rank=1 psi=3fd192c99b35c9b6 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)] bn=Some(0)",
+    "dag20/1 Tradeoff: level=0 rank=1 psi=3fd73e5a4218de06 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)] bn=Some(0)",
+    "dag20/1 Dag: level=0 rank=1 psi=3fd73e5a4218de06 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)] bn=Some(0)",
+    "dag21/0 Tradeoff: NoFeasiblePlan",
+    "dag21/0 Dag: NoFeasiblePlan",
+    "dag21/1 Tradeoff: NoFeasiblePlan",
+    "dag21/1 Dag: NoFeasiblePlan",
+    "dag22/0 Tradeoff: NoFeasiblePlan",
+    "dag22/0 Dag: NoFeasiblePlan",
+    "dag22/1 Tradeoff: NoFeasiblePlan",
+    "dag22/1 Dag: NoFeasiblePlan",
+    "dag23/0 Tradeoff: level=2 rank=3 psi=3fcae2de02cc4782 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 1), (3, 1, 2)] bn=Some(1)",
+    "dag23/0 Dag: level=2 rank=3 psi=3fcae2de02cc4782 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 1), (3, 1, 2)] bn=Some(1)",
+    "dag23/1 Tradeoff: level=2 rank=3 psi=3fc2947df36aa57b sig=[(0, 0, 0), (1, 0, 0), (2, 0, 1), (3, 1, 2)] bn=Some(0)",
+    "dag23/1 Dag: level=2 rank=3 psi=3fc2947df36aa57b sig=[(0, 0, 0), (1, 0, 0), (2, 0, 1), (3, 1, 2)] bn=Some(0)",
+    "dag24/0 Tradeoff: NoFeasiblePlan",
+    "dag24/0 Dag: NoFeasiblePlan",
+    "dag24/1 Tradeoff: NoFeasiblePlan",
+    "dag24/1 Dag: NoFeasiblePlan",
+    "dag25/0 Tradeoff: NoFeasiblePlan",
+    "dag25/0 Dag: NoFeasiblePlan",
+    "dag25/1 Tradeoff: NoFeasiblePlan",
+    "dag25/1 Dag: NoFeasiblePlan",
+    "dag26/0 Tradeoff: level=0 rank=1 psi=3fde39743ed19937 sig=[(0, 0, 0), (1, 0, 1), (2, 1, 2), (3, 1, 2), (4, 1, 0), (5, 9, 1), (6, 1, 0)] bn=Some(0)",
+    "dag26/0 Dag: level=0 rank=1 psi=3fde39743ed19937 sig=[(0, 0, 0), (1, 0, 1), (2, 1, 2), (3, 1, 2), (4, 1, 0), (5, 9, 1), (6, 1, 0)] bn=Some(0)",
+    "dag26/1 Tradeoff: NoFeasiblePlan",
+    "dag26/1 Dag: NoFeasiblePlan",
+    "dag27/0 Tradeoff: level=0 rank=1 psi=3fe14192c001c85e sig=[(0, 0, 1), (1, 1, 0), (2, 1, 1), (3, 0, 0), (4, 0, 0)] bn=Some(0)",
+    "dag27/0 Dag: level=0 rank=1 psi=3fe14192c001c85e sig=[(0, 0, 1), (1, 1, 0), (2, 1, 1), (3, 0, 0), (4, 0, 0)] bn=Some(0)",
+    "dag27/1 Tradeoff: level=0 rank=1 psi=3fe293aca7378566 sig=[(0, 0, 1), (1, 1, 0), (2, 1, 1), (3, 0, 0), (4, 0, 0)] bn=Some(0)",
+    "dag27/1 Dag: level=0 rank=1 psi=3fe293aca7378566 sig=[(0, 0, 1), (1, 1, 0), (2, 1, 1), (3, 0, 0), (4, 0, 0)] bn=Some(0)",
+    "dag28/0 Tradeoff: level=2 rank=3 psi=3fdfbd1c50627a41 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 2)] bn=Some(0)",
+    "dag28/0 Dag: level=2 rank=3 psi=3fdfbd1c50627a41 sig=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 2)] bn=Some(0)",
+    "dag28/1 Tradeoff: NoFeasiblePlan",
+    "dag28/1 Dag: NoFeasiblePlan",
+    "dag29/0 Tradeoff: level=0 rank=1 psi=3fee0e53ad7bed86 sig=[(0, 0, 0), (1, 0, 2), (2, 0, 2), (3, 0, 0), (4, 6, 0)] bn=Some(2)",
+    "dag29/0 Dag: level=0 rank=1 psi=3fee0e53ad7bed86 sig=[(0, 0, 0), (1, 0, 2), (2, 0, 2), (3, 0, 0), (4, 6, 0)] bn=Some(2)",
+    "dag29/1 Tradeoff: NoFeasiblePlan",
+    "dag29/1 Dag: NoFeasiblePlan",
+    "dag30/0 Tradeoff: NoFeasiblePlan",
+    "dag30/0 Dag: NoFeasiblePlan",
+    "dag30/1 Tradeoff: NoFeasiblePlan",
+    "dag30/1 Dag: NoFeasiblePlan",
+    "dag31/0 Tradeoff: NoFeasiblePlan",
+    "dag31/0 Dag: NoFeasiblePlan",
+    "dag31/1 Tradeoff: NoFeasiblePlan",
+    "dag31/1 Dag: NoFeasiblePlan",
+];

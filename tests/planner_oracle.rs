@@ -10,15 +10,14 @@
 //! * the selected plan's bottleneck Ψ equals the minimum over all
 //!   feasible paths to that sink;
 //! * when no path is feasible, the planner reports `NoFeasiblePlan`;
-//! * `plan_dag` coincides with `plan_basic` on chains;
-//! * `plan_random` reaches the same sink with Ψ no better than basic's;
-//! * `plan_tradeoff` equals basic under neutral availability trends and
-//!   never outranks basic otherwise.
+//! * the DAG heuristic coincides with the basic planner on chains;
+//! * the random planner reaches the same sink with Ψ no better than
+//!   basic's;
+//! * the tradeoff planner equals basic under neutral availability trends
+//!   and never outranks basic otherwise.
 
 use proptest::prelude::*;
-use qosr::core::{
-    plan_basic, plan_dag, plan_random, plan_tradeoff, AvailabilityView, PlanError, Qrg, QrgOptions,
-};
+use qosr::core::{AvailabilityView, PlanCtx, PlanError, Planner, QrgOptions};
 use qosr::model::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -117,6 +116,18 @@ fn generate(seed: u64, k: usize, max_q: usize, shared_resources: bool) -> Scenar
         avail,
         alphas,
     }
+}
+
+/// A context prepared for `s` under `view` with `options`.
+fn prepared(s: &Scenario, view: &AvailabilityView, options: &QrgOptions) -> PlanCtx {
+    let mut ctx = PlanCtx::new();
+    ctx.prepare(&s.session, view, options);
+    ctx
+}
+
+/// An RNG for the planners that never read it.
+fn unused_rng() -> StdRng {
+    StdRng::seed_from_u64(0)
 }
 
 fn view_of(s: &Scenario, with_alpha: bool) -> AvailabilityView {
@@ -221,14 +232,14 @@ fn check_plan_consistency(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases_from_env(256))]
 
     #[test]
     fn basic_matches_bruteforce_oracle(seed in any::<u64>(), k in 1usize..=4, q in 1usize..=4, shared in any::<bool>()) {
         let s = generate(seed, k, q, shared);
         let view = view_of(&s, false);
-        let qrg = Qrg::build(&s.session, &view, &QrgOptions::default());
-        match (plan_basic(&qrg), oracle(&s, &view)) {
+        let basic = prepared(&s, &view, &QrgOptions::default()).plan(Planner::Basic, &mut unused_rng());
+        match (basic, oracle(&s, &view)) {
             (Ok(plan), Some((level, psi))) => {
                 prop_assert_eq!(plan.sink_level, level, "sink level mismatch");
                 prop_assert!((plan.psi - psi).abs() < 1e-9,
@@ -244,8 +255,8 @@ proptest! {
     fn dag_heuristic_equals_basic_on_chains(seed in any::<u64>(), k in 1usize..=4, q in 1usize..=4) {
         let s = generate(seed, k, q, true);
         let view = view_of(&s, false);
-        let qrg = Qrg::build(&s.session, &view, &QrgOptions::default());
-        match (plan_basic(&qrg), plan_dag(&qrg)) {
+        let mut ctx = prepared(&s, &view, &QrgOptions::default());
+        match (ctx.plan(Planner::Basic, &mut unused_rng()), ctx.plan(Planner::Dag, &mut unused_rng())) {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
             (Err(a), Err(b)) => prop_assert_eq!(a, b),
             (a, b) => prop_assert!(false, "{a:?} vs {b:?}"),
@@ -256,9 +267,9 @@ proptest! {
     fn random_planner_reaches_best_sink_never_beats_basic(seed in any::<u64>(), k in 1usize..=4, q in 1usize..=4) {
         let s = generate(seed, k, q, false);
         let view = view_of(&s, false);
-        let qrg = Qrg::build(&s.session, &view, &QrgOptions::default());
+        let mut ctx = prepared(&s, &view, &QrgOptions::default());
         let mut rng = StdRng::seed_from_u64(seed ^ 0xdead);
-        match (plan_basic(&qrg), plan_random(&qrg, &mut rng)) {
+        match (ctx.plan(Planner::Basic, &mut unused_rng()), ctx.plan(Planner::Random, &mut rng)) {
             (Ok(basic), Ok(random)) => {
                 prop_assert_eq!(basic.sink_level, random.sink_level);
                 prop_assert!(random.psi >= basic.psi - 1e-9);
@@ -273,8 +284,8 @@ proptest! {
     fn tradeoff_neutral_trend_equals_basic(seed in any::<u64>(), k in 1usize..=4, q in 1usize..=4) {
         let s = generate(seed, k, q, true);
         let view = view_of(&s, false); // all alphas 1.0
-        let qrg = Qrg::build(&s.session, &view, &QrgOptions::default());
-        match (plan_basic(&qrg), plan_tradeoff(&qrg)) {
+        let mut ctx = prepared(&s, &view, &QrgOptions::default());
+        match (ctx.plan(Planner::Basic, &mut unused_rng()), ctx.plan(Planner::Tradeoff, &mut unused_rng())) {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
             (Err(a), Err(b)) => prop_assert_eq!(a, b),
             (a, b) => prop_assert!(false, "{a:?} vs {b:?}"),
@@ -285,8 +296,8 @@ proptest! {
     fn tradeoff_never_outranks_basic_and_respects_bound(seed in any::<u64>(), k in 1usize..=4, q in 1usize..=4) {
         let s = generate(seed, k, q, true);
         let view = view_of(&s, true); // random alphas
-        let qrg = Qrg::build(&s.session, &view, &QrgOptions::default());
-        match (plan_basic(&qrg), plan_tradeoff(&qrg)) {
+        let mut ctx = prepared(&s, &view, &QrgOptions::default());
+        match (ctx.plan(Planner::Basic, &mut unused_rng()), ctx.plan(Planner::Tradeoff, &mut unused_rng())) {
             (Ok(basic), Ok(tradeoff)) => {
                 prop_assert!(tradeoff.rank <= basic.rank);
                 check_plan_consistency(&s, &view, &tradeoff);
@@ -309,12 +320,12 @@ proptest! {
         // only on edge existence, not on the psi definition.
         let s = generate(seed, k, q, true);
         let view = view_of(&s, false);
-        let base = Qrg::build(&s.session, &view, &QrgOptions::default());
+        let base = prepared(&s, &view, &QrgOptions::default()).plan(Planner::Basic, &mut unused_rng());
         for psi in [qosr::core::PsiDef::Headroom, qosr::core::PsiDef::NegLogSurvival] {
-            let alt = Qrg::build(&s.session, &view, &QrgOptions { psi, ..QrgOptions::default() });
-            match (plan_basic(&base), plan_basic(&alt)) {
+            let mut alt = prepared(&s, &view, &QrgOptions { psi, ..QrgOptions::default() });
+            match (&base, alt.plan(Planner::Basic, &mut unused_rng())) {
                 (Ok(a), Ok(b)) => prop_assert_eq!(a.sink_level, b.sink_level),
-                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                (Err(a), Err(b)) => prop_assert_eq!(a, &b),
                 (a, b) => prop_assert!(false, "{a:?} vs {b:?}"),
             }
         }
