@@ -1,4 +1,5 @@
-//! Synthetic service generators for benchmarks and scaling studies.
+//! Synthetic service generators shared by the experiments, the bench
+//! world of `qosr serve` and the property tests.
 
 use qosr_model::*;
 use std::sync::Arc;

@@ -20,8 +20,8 @@
 //!    every request, in arrival order on the calling thread, over its
 //!    group's relaxation. Planning is ~0.5 µs per session, so a round
 //!    spawns no threads: a per-round worker pool cost more in
-//!    spawn/join and hand-offs than it ever planned in parallel (see
-//!    the `history` block of `BENCH_admission.json`);
+//!    spawn/join and hand-offs than it ever planned in parallel (the
+//!    per-worker-count figures are kept in `BENCH_history.json`);
 //! 3. **Sequential commit**: once the whole round is planned, plans are
 //!    committed in arrival order through the ordinary two-phase
 //!    reserve/commit dispatch. Before each dispatch the round's

@@ -12,17 +12,14 @@
 //! [`AvailabilityView`] of per-resource window minima, and any planner
 //! from `qosr-core` runs on it unchanged.
 //!
-//! Two timeline representations coexist:
-//!
-//! * [`Timeline`] — the original linear delta map (a `BTreeMap` of
-//!   `time → delta`). Window queries scan every breakpoint; kept as the
-//!   **differential-testing oracle** (see `tests/advance_properties.rs`).
-//! * [`TimelineIndex`] — a balanced search tree (treap) over the same
-//!   delta profile, augmented with subtree delta sums and maximum
-//!   prefix sums, making point levels, window maxima, successor
-//!   queries and range adds all O(log n) in the number of breakpoints.
-//!   This is the only structure [`TimelineBroker`] keeps;
-//!   `benches/advance.rs` pins the speedup at a million bookings.
+//! The timeline is a [`TimelineIndex`]: a balanced search tree (treap)
+//! over the profile's level deltas, augmented with subtree delta sums
+//! and maximum prefix sums, making point levels, window maxima,
+//! successor queries and range adds all O(log n) in the number of
+//! breakpoints. It is the only structure [`TimelineBroker`] keeps. Its
+//! differential-testing oracle, a linear `BTreeMap` of `time → delta`
+//! that scans every breakpoint, lives with the tests
+//! (`tests/support/timeline.rs`, driven by `tests/advance_properties.rs`).
 //!
 //! A planner that walks the profile in time order does so through
 //! `TimelineIndex::cursor`: one `(time, reserved level)` step per pull,
@@ -48,102 +45,16 @@ use qosr_core::AvailabilityView;
 use qosr_model::{ResourceId, ResourceVector};
 use qosr_obs::{Counters, EventKind, NullSink, SpanKind, TraceEvent, TraceSink, Tracer};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Deltas at or below this magnitude are dropped: they separate two
 /// segments at (numerically) the same level, so pruning them *is* the
-/// merge of adjacent equal-valued segments. [`Timeline`] and
-/// [`TimelineIndex`] share the threshold so their breakpoint sets stay
-/// in lockstep under identical operation sequences.
+/// merge of adjacent equal-valued segments. The linear test oracle in
+/// `tests/support/timeline.rs` uses the same threshold, so it and
+/// [`TimelineIndex`] keep identical breakpoint sets under identical
+/// operation sequences.
 const DELTA_EPS: f64 = 1e-12;
-
-/// A piecewise-constant "reserved amount" profile over time.
-///
-/// Stored as a delta map: at each breakpoint time the reserved total
-/// changes by the stored delta. The reserved amount before the first
-/// breakpoint is zero (plus whatever [`Timeline::compact`] folded into
-/// the base). Queries scan breakpoints linearly — O(n) per window —
-/// which is why [`TimelineBroker`] runs on the logarithmic
-/// [`TimelineIndex`] instead and keeps this type as its
-/// differential-testing oracle.
-#[derive(Debug, Clone, Default)]
-pub struct Timeline {
-    /// Reserved amount before the first remaining breakpoint.
-    base: f64,
-    /// `time → delta` (summing deltas up to and including `t` plus
-    /// `base` gives the reserved amount at `t`).
-    deltas: BTreeMap<SimTime, f64>,
-}
-
-impl Timeline {
-    /// An empty timeline (nothing reserved, ever).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The maximum reserved amount over `[from, to)`.
-    pub fn max_reserved(&self, from: SimTime, to: SimTime) -> f64 {
-        assert!(from <= to, "window must be ordered");
-        // Reserved level just before `from`:
-        let mut level = self.base;
-        for (_, d) in self.deltas.range(..=from) {
-            level += d;
-        }
-        let mut max = level;
-        if from < to {
-            for (_, d) in self.deltas.range((
-                std::ops::Bound::Excluded(from),
-                std::ops::Bound::Excluded(to),
-            )) {
-                level += d;
-                max = max.max(level);
-            }
-        }
-        max
-    }
-
-    /// Adds `amount` over `[from, to)`. Deltas that cancel to (near)
-    /// zero are pruned immediately, so abutting equal-rate windows do
-    /// not accumulate breakpoints between them.
-    pub fn add(&mut self, from: SimTime, to: SimTime, amount: f64) {
-        assert!(from < to, "window must be non-empty");
-        for (key, signed) in [(from, amount), (to, -amount)] {
-            let entry = self.deltas.entry(key).or_insert(0.0);
-            *entry += signed;
-            if entry.abs() <= DELTA_EPS {
-                self.deltas.remove(&key);
-            }
-        }
-    }
-
-    /// Removes a previously added window (exact inverse of
-    /// [`Timeline::add`]).
-    pub fn remove(&mut self, from: SimTime, to: SimTime, amount: f64) {
-        self.add(from, to, -amount);
-    }
-
-    /// Folds all breakpoints strictly before `now` into the base level
-    /// and merges adjacent equal-valued segments (near-zero deltas left
-    /// over from float cancellation), bounding memory for long-running
-    /// brokers.
-    pub fn compact(&mut self, now: SimTime) {
-        let keep = self.deltas.split_off(&now);
-        // `split_off(&now)` keeps keys >= now in `keep`; fold the rest.
-        for (_, d) in std::mem::take(&mut self.deltas) {
-            self.base += d;
-        }
-        self.deltas = keep;
-        // A (near-)zero delta separates two segments at the same level:
-        // dropping it merges them.
-        self.deltas.retain(|_, d| d.abs() > DELTA_EPS);
-    }
-
-    /// Number of breakpoints currently stored.
-    pub fn breakpoints(&self) -> usize {
-        self.deltas.len()
-    }
-}
 
 /// One node of the [`TimelineIndex`] treap: a breakpoint (`key`,
 /// `delta`) plus cached subtree aggregates.
@@ -212,15 +123,18 @@ impl IndexNode {
     }
 }
 
-/// An O(log n) reservation timeline: the same piecewise-constant delta
-/// profile as [`Timeline`], held in a treap keyed by breakpoint time
-/// and augmented with subtree delta sums and maximum prefix sums.
+/// An O(log n) reservation timeline: a piecewise-constant "reserved
+/// amount" profile stored as level deltas at breakpoint times, held in
+/// a treap keyed by breakpoint time and augmented with subtree delta
+/// sums and maximum prefix sums. The reserved amount before the first
+/// breakpoint is zero, plus whatever [`TimelineIndex::compact`] folded
+/// into the base.
 ///
 /// * [`TimelineIndex::add`]/[`TimelineIndex::remove`] — two point
 ///   upserts, O(log n) each.
 /// * [`TimelineIndex::max_reserved`] — a prefix-sum query at the window
 ///   start plus one max-prefix aggregate over the open interval,
-///   O(log n) total (the linear [`Timeline`] walks every breakpoint).
+///   O(log n) total (a linear delta map walks every breakpoint).
 /// * [`TimelineIndex::compact`] — folds expired breakpoints into the
 ///   base using cached subtree sums.
 /// * `next_after` / `cursor` (crate-internal) — the successor query and
@@ -244,8 +158,8 @@ impl TimelineIndex {
     }
 
     /// Adds `amount` over `[from, to)` — two O(log n) point-delta
-    /// upserts. Deltas cancelling to (near) zero are pruned, mirroring
-    /// [`Timeline::add`].
+    /// upserts. Deltas cancelling to (near) zero are pruned, so abutting
+    /// equal-rate windows do not accumulate breakpoints between them.
     pub fn add(&mut self, from: SimTime, to: SimTime, amount: f64) {
         assert!(from < to, "window must be non-empty");
         Self::upsert(&mut self.root, from, amount);
@@ -264,8 +178,9 @@ impl TimelineIndex {
         self.base + Self::sum_upto(&self.root, at)
     }
 
-    /// The maximum reserved amount over `[from, to)`, in O(log n) —
-    /// same window semantics as [`Timeline::max_reserved`].
+    /// The maximum reserved amount over `[from, to)`, in O(log n): the
+    /// level at `from`, then every level a breakpoint strictly inside
+    /// the window starts (`from == to` reads the level at `from`).
     pub fn max_reserved(&self, from: SimTime, to: SimTime) -> f64 {
         assert!(from <= to, "window must be ordered");
         let level = self.level_at(from);
@@ -1156,113 +1071,6 @@ mod tests {
 
     fn t(x: f64) -> SimTime {
         SimTime::new(x)
-    }
-
-    #[test]
-    fn timeline_max_reserved() {
-        let mut tl = Timeline::new();
-        assert_eq!(tl.max_reserved(t(0.0), t(100.0)), 0.0);
-        tl.add(t(10.0), t(20.0), 5.0);
-        tl.add(t(15.0), t(30.0), 7.0);
-        // [0,10): 0; [10,15): 5; [15,20): 12; [20,30): 7.
-        assert_eq!(tl.max_reserved(t(0.0), t(10.0)), 0.0);
-        assert_eq!(tl.max_reserved(t(0.0), t(12.0)), 5.0);
-        assert_eq!(tl.max_reserved(t(12.0), t(40.0)), 12.0);
-        assert_eq!(tl.max_reserved(t(20.0), t(40.0)), 7.0);
-        assert_eq!(tl.max_reserved(t(30.0), t(40.0)), 0.0);
-        // Point-in-time query at a boundary sees the level at that time.
-        assert_eq!(tl.max_reserved(t(15.0), t(15.0)), 12.0);
-        // Window ending exactly at a rise does not include it.
-        assert_eq!(tl.max_reserved(t(0.0), t(15.0)), 5.0);
-    }
-
-    #[test]
-    fn timeline_remove_and_compact() {
-        let mut tl = Timeline::new();
-        tl.add(t(10.0), t(20.0), 5.0);
-        tl.add(t(30.0), t(40.0), 9.0);
-        tl.remove(t(10.0), t(20.0), 5.0);
-        assert_eq!(tl.max_reserved(t(0.0), t(25.0)), 0.0);
-        assert_eq!(tl.breakpoints(), 2); // only the 30/40 pair remains
-        tl.compact(t(35.0));
-        // Base now carries the level at 30 (+9); breakpoint at 40 kept.
-        assert_eq!(tl.max_reserved(t(35.0), t(39.0)), 9.0);
-        assert_eq!(tl.max_reserved(t(41.0), t(50.0)), 0.0);
-        assert_eq!(tl.breakpoints(), 1);
-    }
-
-    #[test]
-    fn breakpoints_stay_bounded_under_add_remove_cycles() {
-        let mut tl = Timeline::new();
-        let mut ix = TimelineIndex::new();
-        // Abutting equal-rate windows: interior deltas cancel, so the
-        // profile stays two breakpoints no matter how many windows.
-        for i in 0..1000 {
-            let s = t(f64::from(i));
-            tl.add(s, s + 1.0, 2.0);
-            ix.add(s, s + 1.0, 2.0);
-        }
-        assert_eq!(tl.breakpoints(), 2);
-        assert_eq!(ix.breakpoints(), 2);
-        assert_eq!(tl.max_reserved(t(0.0), t(1000.0)), 2.0);
-        assert_eq!(ix.max_reserved(t(0.0), t(1000.0)), 2.0);
-        for i in 0..1000 {
-            let s = t(f64::from(i));
-            tl.remove(s, s + 1.0, 2.0);
-            ix.remove(s, s + 1.0, 2.0);
-        }
-        assert_eq!(tl.breakpoints(), 0);
-        assert_eq!(ix.breakpoints(), 0);
-        // Churn at one window never accumulates breakpoints either.
-        for _ in 0..100 {
-            tl.add(t(5.0), t(6.0), 1.5);
-            tl.remove(t(5.0), t(6.0), 1.5);
-            ix.add(t(5.0), t(6.0), 1.5);
-            ix.remove(t(5.0), t(6.0), 1.5);
-        }
-        assert_eq!(tl.breakpoints(), 0);
-        assert_eq!(ix.breakpoints(), 0);
-    }
-
-    #[test]
-    fn index_matches_timeline_oracle() {
-        // Deterministic differential run with integer amounts (exact
-        // f64 arithmetic, so tree association cannot diverge from the
-        // linear scan): every query must be bit-identical.
-        let mut tl = Timeline::new();
-        let mut ix = TimelineIndex::new();
-        let mut state: u64 = 0x9E3779B97F4A7C15;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        let mut live: Vec<(SimTime, SimTime, f64)> = Vec::new();
-        for step in 0..400 {
-            if !live.is_empty() && next() % 4 == 0 {
-                let (a, b, amt) = live.swap_remove((next() as usize) % live.len());
-                tl.remove(a, b, amt);
-                ix.remove(a, b, amt);
-            } else {
-                let from = t((next() % 200) as f64);
-                let to = from + (1 + next() % 40) as f64;
-                let amount = (1 + next() % 50) as f64;
-                tl.add(from, to, amount);
-                ix.add(from, to, amount);
-                live.push((from, to, amount));
-            }
-            let a = t((next() % 220) as f64);
-            let b = a + (next() % 60) as f64;
-            assert_eq!(ix.max_reserved(a, b), tl.max_reserved(a, b), "step {step}");
-            assert_eq!(ix.breakpoints(), tl.breakpoints(), "step {step}");
-            if step % 97 == 0 {
-                let now = t((next() % 100) as f64);
-                tl.compact(now);
-                ix.compact(now);
-                live.retain(|(_, to, _)| *to >= now);
-            }
-        }
     }
 
     #[test]

@@ -45,9 +45,7 @@ mod request;
 mod time;
 
 pub use admission::{AdmissionConfig, AdmissionQueue};
-pub use advance::{
-    AdvanceRegistry, Booking, CancelOutcome, Timeline, TimelineBroker, TimelineIndex,
-};
+pub use advance::{AdvanceRegistry, Booking, CancelOutcome, TimelineBroker, TimelineIndex};
 pub use alpha::AlphaWindow;
 pub use broker::{Broker, BrokerReport};
 pub use error::{EstablishError, FaultError, ReserveError};

@@ -12,8 +12,8 @@
 //! not phase-lock into synchronized bursts), while a paired reader
 //! thread timestamps every response against its send time and records
 //! the nanosecond latency in a shared lock-free
-//! [`Histogram`]. The final [`LoadReport`] is the
-//! schema behind `BENCH_serve.json`.
+//! [`Histogram`]. The final [`LoadReport`] is what `--json` prints and
+//! `--out` writes.
 
 use crate::dto::ScenarioError;
 use crate::wire::{
@@ -85,8 +85,8 @@ impl Default for LoadOptions {
     }
 }
 
-/// What one load run measured; serialized verbatim into
-/// `BENCH_serve.json`.
+/// What one load run measured; serialized verbatim by `--json` and
+/// `--out`.
 #[derive(Debug, Clone, Serialize)]
 pub struct LoadReport {
     /// Offered load the run asked for, requests per second.

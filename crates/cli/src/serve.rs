@@ -167,9 +167,8 @@ enum ServerWorld {
     },
 }
 
-/// Background resources per host in the bench world (mirrors
-/// `benches/admission.rs`: a deployed proxy tracks every host resource,
-/// not just the ones one service touches).
+/// Background resources per host in the bench world: a deployed proxy
+/// tracks every host resource, not just the ones one service touches.
 const BENCH_EXTRA_PER_HOST: usize = 30;
 
 impl ServerWorld {

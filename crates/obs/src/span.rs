@@ -10,9 +10,8 @@
 //!
 //! The whole layer is **zero-cost when disabled** (the default): a span
 //! taken while `enabled()` is false performs exactly one relaxed atomic
-//! load, never reads the clock, and its drop is a no-op — verified
-//! empirically by `benches/obs_overhead.rs`. When a tracing sink is
-//! also live, [`PhaseTimers::span_traced`] additionally emits one
+//! load, never reads the clock, and its drop is a no-op. When a tracing
+//! sink is also live, [`PhaseTimers::span_traced`] additionally emits one
 //! [`EventKind::PhaseTiming`] event per measured span, which is how the
 //! offline [`TraceSummary`](crate::TraceSummary) reconstructs the same
 //! per-phase distributions the live registry reports.

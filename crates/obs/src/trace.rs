@@ -379,8 +379,8 @@ fn optional<T: Deserialize>(fields: &[(String, Value)], name: &str) -> Result<Op
 ///
 /// Disabled (the default) the whole layer costs one relaxed atomic load
 /// per request — instrumented code checks [`Tracer::enabled`] before
-/// reading any clock or building any span. `benches/obs_overhead.rs`
-/// verifies the disabled mode empirically.
+/// reading any clock or building any span. The benchmark's
+/// `obs.trace.overhead_ratio` prices the enabled mode against it.
 #[derive(Debug)]
 pub struct Tracer {
     enabled: AtomicBool,

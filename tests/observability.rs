@@ -176,7 +176,7 @@ fn jsonl_sink_round_trips_the_event_stream() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The acceptance criterion: reducing a recorded trace must reproduce
+/// The acceptance check: reducing a recorded trace must reproduce
 /// the run's `RunMetrics` exactly — success rate, mean QoS level, and
 /// the per-resource bottleneck table.
 #[test]

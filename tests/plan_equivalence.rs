@@ -364,6 +364,84 @@ proptest! {
     }
 }
 
+/// States in the steady-state replanning walk.
+const WALK_STATES: usize = 64;
+
+/// The steady-state replanning walk: a 4×4 chain with three resource
+/// slots per component (twelve resources) and 64 availability states,
+/// each a multiplicative jitter of one resource on the state before, far
+/// from infeasibility.
+fn replan_walk() -> (qosr::model::SessionInstance, Vec<AvailabilityView>) {
+    let (session, space) = synthetic_chain_multi(4, 4, 3);
+    let rids: Vec<_> = space.ids().collect();
+    let mut avail: Vec<f64> = (0..rids.len()).map(|i| 90.0 + 7.0 * i as f64).collect();
+    let factors = [0.93, 1.06, 0.97, 1.04];
+    let views = (0..WALK_STATES)
+        .map(|s| {
+            if s > 0 {
+                avail[s % rids.len()] *= factors[s % factors.len()];
+            }
+            let mut view = AvailabilityView::new();
+            for (&rid, &a) in rids.iter().zip(&avail) {
+                view.set_with_alpha(rid, a, 1.0);
+            }
+            view
+        })
+        .collect();
+    (session, views)
+}
+
+/// The state visited at `step` of the ping-pong schedule 0, 1, …, 63,
+/// 62, …, 1, 0, 1, …: every step, turnarounds included, moves one
+/// resource.
+fn ping_pong(step: usize) -> usize {
+    let period = 2 * (WALK_STATES - 1);
+    let p = step % period;
+    p.min(period - p)
+}
+
+/// Two laps' worth of the ping-pong walk through the delta path, each
+/// step planned against a full prepare of the same state. The counts
+/// were recorded before the timed replanning comparison was retired:
+/// after the cold start every step is a one-resource repair that
+/// re-evaluates about 12.7 of the 52 candidates a full prepare
+/// evaluates and recomputes about 5 relaxation nodes.
+#[test]
+fn replan_walk_repairs_one_resource_per_step() {
+    let (session, views) = replan_walk();
+    let options = QrgOptions::default();
+    let mut full = PlanCtx::new();
+    let mut delta = PlanCtx::new();
+    let (mut repairs, mut fallbacks) = (0, 0);
+    let (mut reevaluated, mut recomputed) = (0, 0);
+    for step in 0..2 * WALK_STATES {
+        let view = &views[ping_pong(step)];
+        full.prepare(&session, view, &options);
+        assert_eq!(full.candidates().count(), 52, "step {step}");
+        match delta.prepare_delta(&session, view, &options) {
+            RepairOutcome::Repaired(stats) => {
+                assert_eq!(stats.resources_changed, 1, "step {step}");
+                repairs += 1;
+                reevaluated += stats.candidates_reevaluated;
+                recomputed += stats.nodes_recomputed;
+            }
+            RepairOutcome::Full(_) => fallbacks += 1,
+        }
+        let seed = step as u64;
+        let a = full.plan(Planner::Basic, &mut StdRng::seed_from_u64(seed));
+        let b = delta.plan(Planner::Basic, &mut StdRng::seed_from_u64(seed));
+        assert!(a.is_ok(), "step {step}: the walk stays feasible");
+        assert_eq!(a, b, "step {step}");
+    }
+    assert_eq!(
+        (repairs, fallbacks),
+        (127, 1),
+        "only the cold start rebuilds"
+    );
+    assert_eq!(reevaluated, 1_612);
+    assert_eq!(recomputed, 636);
+}
+
 /// One literal row per (case, planner): the plan's `sink_level`, `rank`,
 /// `psi` bits, signature and bottleneck resource, or the error; after
 /// [`Planner::Random`] also the RNG's next `u64`.
