@@ -56,46 +56,48 @@ use std::sync::{Arc, OnceLock};
 /// operation sequences.
 const DELTA_EPS: f64 = 1e-12;
 
+/// The null link of the index arena and the booking slab: no node, no
+/// slot, end of list.
+const NIL: u32 = u32::MAX;
+
+/// A slot number for the next push onto an arena of `len` entries.
+fn next_slot(len: usize) -> u32 {
+    u32::try_from(len)
+        .ok()
+        .filter(|&i| i != NIL)
+        .expect("arena outgrew u32 slot numbers")
+}
+
 /// One node of the [`TimelineIndex`] treap: a breakpoint (`key`,
-/// `delta`) plus cached subtree aggregates.
+/// `delta`) plus cached subtree aggregates. 48 bytes; children are slot
+/// numbers in the index's arena.
 #[derive(Debug, Clone)]
 struct IndexNode {
     key: SimTime,
     delta: f64,
     /// Heap priority — a deterministic hash of the key bits, so tree
     /// shape (and thus float association) is a pure function of the
-    /// breakpoint set, independent of insertion order.
+    /// breakpoint set, independent of insertion order. A full `u64`: a
+    /// narrower hash ties more often, and a tie can change the shape.
     priority: u64,
     /// Sum of deltas in this subtree.
     sum: f64,
     /// Maximum over the subtree's in-order delta prefix sums
     /// (`NEG_INFINITY` never appears on a live node).
     maxp: f64,
-    /// Node count of this subtree.
-    cnt: usize,
-    left: Option<Box<IndexNode>>,
-    right: Option<Box<IndexNode>>,
+    /// Left child ([`NIL`] if none); on a free slot, the next free slot.
+    left: u32,
+    /// Right child ([`NIL`] if none).
+    right: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<IndexNode>() == 48);
 
 fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// `(sum, max-prefix-sum)` of a possibly-empty subtree. The empty
-/// aggregate is `(0, -∞)`: it contributes nothing to sums and never
-/// wins a max.
-fn node_agg(node: &Option<Box<IndexNode>>) -> (f64, f64) {
-    match node {
-        None => (0.0, f64::NEG_INFINITY),
-        Some(n) => (n.sum, n.maxp),
-    }
-}
-
-fn node_cnt(node: &Option<Box<IndexNode>>) -> usize {
-    node.as_ref().map_or(0, |n| n.cnt)
 }
 
 impl IndexNode {
@@ -106,20 +108,9 @@ impl IndexNode {
             priority: splitmix64(key.value().to_bits()),
             sum: delta,
             maxp: delta,
-            cnt: 1,
-            left: None,
-            right: None,
+            left: NIL,
+            right: NIL,
         }
-    }
-
-    /// Recomputes this node's aggregates from its children.
-    fn pull(&mut self) {
-        let (ls, lm) = node_agg(&self.left);
-        let (rs, rm) = node_agg(&self.right);
-        let here = ls + self.delta;
-        self.sum = here + rs;
-        self.maxp = lm.max(here).max(here + rm);
-        self.cnt = 1 + node_cnt(&self.left) + node_cnt(&self.right);
     }
 }
 
@@ -129,6 +120,11 @@ impl IndexNode {
 /// sums and maximum prefix sums. The reserved amount before the first
 /// breakpoint is zero, plus whatever [`TimelineIndex::compact`] folded
 /// into the base.
+///
+/// The nodes live in one `Vec` and link to each other by `u32` slot
+/// number, not one heap allocation each; slots a removal or compaction
+/// frees are threaded onto a free list and reused by the next insert,
+/// so the arena never outgrows the peak breakpoint count.
 ///
 /// * [`TimelineIndex::add`]/[`TimelineIndex::remove`] — two point
 ///   upserts, O(log n) each.
@@ -144,11 +140,30 @@ impl IndexNode {
 /// Tree shape is deterministic in the breakpoint *set* (priorities are
 /// hashed from key bits), so query results do not depend on the order
 /// in which bookings arrived.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TimelineIndex {
     /// Reserved amount before the first remaining breakpoint.
     base: f64,
-    root: Option<Box<IndexNode>>,
+    /// Slot of the root node ([`NIL`] when empty).
+    root: u32,
+    /// The arena: live nodes and free slots.
+    nodes: Vec<IndexNode>,
+    /// Head of the free-slot list, threaded through `left`.
+    free: u32,
+    /// Live nodes (breakpoints).
+    len: usize,
+}
+
+impl Default for TimelineIndex {
+    fn default() -> Self {
+        TimelineIndex {
+            base: 0.0,
+            root: NIL,
+            nodes: Vec::new(),
+            free: NIL,
+            len: 0,
+        }
+    }
 }
 
 impl TimelineIndex {
@@ -162,8 +177,8 @@ impl TimelineIndex {
     /// equal-rate windows do not accumulate breakpoints between them.
     pub fn add(&mut self, from: SimTime, to: SimTime, amount: f64) {
         assert!(from < to, "window must be non-empty");
-        Self::upsert(&mut self.root, from, amount);
-        Self::upsert(&mut self.root, to, -amount);
+        self.root = self.upsert(self.root, from, amount);
+        self.root = self.upsert(self.root, to, -amount);
     }
 
     /// Removes a previously added window (exact inverse of
@@ -175,7 +190,7 @@ impl TimelineIndex {
     /// The reserved level at time `at` (base plus all deltas with key
     /// `<= at`), in O(log n).
     pub fn level_at(&self, at: SimTime) -> f64 {
-        self.base + Self::sum_upto(&self.root, at)
+        self.base + self.sum_upto(self.root, at)
     }
 
     /// The maximum reserved amount over `[from, to)`, in O(log n): the
@@ -185,7 +200,7 @@ impl TimelineIndex {
         assert!(from <= to, "window must be ordered");
         let level = self.level_at(from);
         if from < to {
-            let (_, maxp) = Self::agg_open(&self.root, Some(from), Some(to));
+            let (_, maxp) = self.agg_open(self.root, Some(from), Some(to));
             // Empty interval → maxp = -∞ → `level` wins.
             level.max(level + maxp)
         } else {
@@ -194,28 +209,30 @@ impl TimelineIndex {
     }
 
     /// Folds all breakpoints strictly before `now` into the base level.
-    /// Each fully-expired subtree is folded in O(1) via its cached sum.
+    /// Each fully-expired subtree is folded in O(1) via its cached sum;
+    /// its slots go back on the free list.
     pub fn compact(&mut self, now: SimTime) {
         let mut folded = 0.0;
-        self.root = Self::compact_rec(self.root.take(), now, &mut folded);
+        self.root = self.compact_rec(self.root, now, &mut folded);
         self.base += folded;
     }
 
     /// Number of breakpoints currently stored.
     pub fn breakpoints(&self) -> usize {
-        node_cnt(&self.root)
+        self.len
     }
 
     /// The first breakpoint strictly after `at`, in O(log n).
     pub(crate) fn next_after(&self, at: SimTime) -> Option<SimTime> {
-        let mut node = &self.root;
+        let mut slot = self.root;
         let mut next = None;
-        while let Some(n) = node {
+        while slot != NIL {
+            let n = self.node(slot);
             if n.key > at {
                 next = Some(n.key);
-                node = &n.left;
+                slot = n.left;
             } else {
-                node = &n.right;
+                slot = n.right;
             }
         }
         next
@@ -234,130 +251,208 @@ impl TimelineIndex {
             .map(move |at| (at, self.level_at(at)))
     }
 
-    fn upsert(slot: &mut Option<Box<IndexNode>>, key: SimTime, amount: f64) {
-        let Some(mut node) = slot.take() else {
-            if amount.abs() > DELTA_EPS {
-                *slot = Some(Box::new(IndexNode::new(key, amount)));
-            }
+    fn node(&self, at: u32) -> &IndexNode {
+        &self.nodes[at as usize]
+    }
+
+    fn node_mut(&mut self, at: u32) -> &mut IndexNode {
+        &mut self.nodes[at as usize]
+    }
+
+    /// `(sum, max-prefix-sum)` of a possibly-empty subtree. The empty
+    /// aggregate is `(0, -∞)`: it contributes nothing to sums and never
+    /// wins a max.
+    fn agg(&self, at: u32) -> (f64, f64) {
+        if at == NIL {
+            return (0.0, f64::NEG_INFINITY);
+        }
+        let n = self.node(at);
+        (n.sum, n.maxp)
+    }
+
+    /// Recomputes node `at`'s aggregates from its children.
+    fn pull(&mut self, at: u32) {
+        let (left, right) = (self.node(at).left, self.node(at).right);
+        let (ls, lm) = self.agg(left);
+        let (rs, rm) = self.agg(right);
+        let n = self.node_mut(at);
+        let here = ls + n.delta;
+        n.sum = here + rs;
+        n.maxp = lm.max(here).max(here + rm);
+    }
+
+    /// A slot holding a fresh leaf: the free list's head, else a new
+    /// slot at the end of the arena.
+    fn alloc(&mut self, key: SimTime, delta: f64) -> u32 {
+        self.len += 1;
+        let node = IndexNode::new(key, delta);
+        if self.free == NIL {
+            let at = next_slot(self.nodes.len());
+            self.nodes.push(node);
+            return at;
+        }
+        let at = self.free;
+        self.free = self.node(at).left;
+        *self.node_mut(at) = node;
+        at
+    }
+
+    /// Puts slot `at` on the free list; its left link becomes the list's.
+    fn release(&mut self, at: u32) {
+        self.len -= 1;
+        let free = self.free;
+        self.node_mut(at).left = free;
+        self.free = at;
+    }
+
+    /// Releases every slot of the subtree at `at`.
+    fn release_subtree(&mut self, at: u32) {
+        if at == NIL {
             return;
-        };
-        match key.cmp(&node.key) {
+        }
+        let (left, right) = (self.node(at).left, self.node(at).right);
+        self.release_subtree(left);
+        self.release_subtree(right);
+        self.release(at);
+    }
+
+    /// Adds `amount` to the delta at `key` in the subtree at `at`,
+    /// returning the subtree's new root.
+    fn upsert(&mut self, at: u32, key: SimTime, amount: f64) -> u32 {
+        if at == NIL {
+            return if amount.abs() > DELTA_EPS {
+                self.alloc(key, amount)
+            } else {
+                NIL
+            };
+        }
+        match key.cmp(&self.node(at).key) {
             Ordering::Equal => {
-                node.delta += amount;
-                if node.delta.abs() <= DELTA_EPS {
-                    *slot = Self::merge(node.left.take(), node.right.take());
+                let n = self.node_mut(at);
+                n.delta += amount;
+                if n.delta.abs() <= DELTA_EPS {
+                    let (left, right) = (n.left, n.right);
+                    self.release(at);
+                    self.merge(left, right)
                 } else {
-                    node.pull();
-                    *slot = Some(node);
+                    self.pull(at);
+                    at
                 }
             }
             Ordering::Less => {
-                Self::upsert(&mut node.left, key, amount);
-                if node
-                    .left
-                    .as_ref()
-                    .is_some_and(|l| l.priority > node.priority)
-                {
-                    let mut l = node.left.take().expect("left checked above");
-                    node.left = l.right.take();
-                    node.pull();
-                    l.right = Some(node);
-                    l.pull();
-                    *slot = Some(l);
+                let l = self.upsert(self.node(at).left, key, amount);
+                self.node_mut(at).left = l;
+                if l != NIL && self.node(l).priority > self.node(at).priority {
+                    self.node_mut(at).left = self.node(l).right;
+                    self.pull(at);
+                    self.node_mut(l).right = at;
+                    self.pull(l);
+                    l
                 } else {
-                    node.pull();
-                    *slot = Some(node);
+                    self.pull(at);
+                    at
                 }
             }
             Ordering::Greater => {
-                Self::upsert(&mut node.right, key, amount);
-                if node
-                    .right
-                    .as_ref()
-                    .is_some_and(|r| r.priority > node.priority)
-                {
-                    let mut r = node.right.take().expect("right checked above");
-                    node.right = r.left.take();
-                    node.pull();
-                    r.left = Some(node);
-                    r.pull();
-                    *slot = Some(r);
+                let r = self.upsert(self.node(at).right, key, amount);
+                self.node_mut(at).right = r;
+                if r != NIL && self.node(r).priority > self.node(at).priority {
+                    self.node_mut(at).right = self.node(r).left;
+                    self.pull(at);
+                    self.node_mut(r).left = at;
+                    self.pull(r);
+                    r
                 } else {
-                    node.pull();
-                    *slot = Some(node);
+                    self.pull(at);
+                    at
                 }
             }
         }
     }
 
-    fn merge(a: Option<Box<IndexNode>>, b: Option<Box<IndexNode>>) -> Option<Box<IndexNode>> {
-        match (a, b) {
-            (None, x) | (x, None) => x,
-            (Some(mut a), Some(b)) if a.priority > b.priority => {
-                a.right = Self::merge(a.right.take(), Some(b));
-                a.pull();
-                Some(a)
-            }
-            (Some(a), Some(mut b)) => {
-                b.left = Self::merge(Some(a), b.left.take());
-                b.pull();
-                Some(b)
-            }
+    /// Joins two subtrees whose keys are ordered `a < b`, returning the
+    /// joined root.
+    fn merge(&mut self, a: u32, b: u32) -> u32 {
+        if a == NIL {
+            return b;
+        }
+        if b == NIL {
+            return a;
+        }
+        if self.node(a).priority > self.node(b).priority {
+            let right = self.merge(self.node(a).right, b);
+            self.node_mut(a).right = right;
+            self.pull(a);
+            a
+        } else {
+            let left = self.merge(a, self.node(b).left);
+            self.node_mut(b).left = left;
+            self.pull(b);
+            b
         }
     }
 
-    /// Sum of deltas with key `<= key`.
-    fn sum_upto(node: &Option<Box<IndexNode>>, key: SimTime) -> f64 {
-        match node {
-            None => 0.0,
-            Some(n) if n.key <= key => {
-                node_agg(&n.left).0 + n.delta + Self::sum_upto(&n.right, key)
-            }
-            Some(n) => Self::sum_upto(&n.left, key),
+    /// Sum of deltas with key `<= key`. Recursive on purpose: the
+    /// operand order below is the float association outcomes are pinned
+    /// to, and a running accumulator would re-associate it.
+    fn sum_upto(&self, at: u32, key: SimTime) -> f64 {
+        if at == NIL {
+            return 0.0;
+        }
+        let n = self.node(at);
+        if n.key <= key {
+            self.agg(n.left).0 + n.delta + self.sum_upto(n.right, key)
+        } else {
+            self.sum_upto(n.left, key)
         }
     }
 
     /// `(sum, max-prefix-sum)` over keys strictly inside `(lo, hi)`
     /// (`None` = unbounded). Once a side is unbounded the cached
     /// aggregates answer whole subtrees, keeping the walk O(log n).
-    fn agg_open(
-        node: &Option<Box<IndexNode>>,
-        lo: Option<SimTime>,
-        hi: Option<SimTime>,
-    ) -> (f64, f64) {
-        let Some(n) = node else {
+    fn agg_open(&self, at: u32, lo: Option<SimTime>, hi: Option<SimTime>) -> (f64, f64) {
+        if at == NIL {
             return (0.0, f64::NEG_INFINITY);
-        };
+        }
+        let n = self.node(at);
         if lo.is_none() && hi.is_none() {
             return (n.sum, n.maxp);
         }
         if lo.is_some_and(|l| n.key <= l) {
-            return Self::agg_open(&n.right, lo, hi);
+            return self.agg_open(n.right, lo, hi);
         }
         if hi.is_some_and(|h| n.key >= h) {
-            return Self::agg_open(&n.left, lo, hi);
+            return self.agg_open(n.left, lo, hi);
         }
-        let (ls, lm) = Self::agg_open(&n.left, lo, None);
-        let (rs, rm) = Self::agg_open(&n.right, None, hi);
+        let (ls, lm) = self.agg_open(n.left, lo, None);
+        let (rs, rm) = self.agg_open(n.right, None, hi);
         let here = ls + n.delta;
         (here + rs, lm.max(here).max(here + rm))
     }
 
-    fn compact_rec(
-        node: Option<Box<IndexNode>>,
-        now: SimTime,
-        folded: &mut f64,
-    ) -> Option<Box<IndexNode>> {
-        let mut n = node?;
-        if n.key < now {
+    fn compact_rec(&mut self, at: u32, now: SimTime, folded: &mut f64) -> u32 {
+        if at == NIL {
+            return NIL;
+        }
+        let IndexNode {
+            key,
+            delta,
+            left,
+            right,
+            ..
+        } = *self.node(at);
+        if key < now {
             // This node and its whole left subtree expire: fold their
             // delta sum in one cached-aggregate read.
-            *folded += node_agg(&n.left).0 + n.delta;
-            Self::compact_rec(n.right.take(), now, folded)
+            *folded += self.agg(left).0 + delta;
+            self.release_subtree(left);
+            self.release(at);
+            self.compact_rec(right, now, folded)
         } else {
-            n.left = Self::compact_rec(n.left.take(), now, folded);
-            n.pull();
-            Some(n)
+            let left = self.compact_rec(left, now, folded);
+            self.node_mut(at).left = left;
+            self.pull(at);
+            at
         }
     }
 }
@@ -434,7 +529,127 @@ pub struct TimelineBroker {
 #[derive(Debug, Default)]
 struct TimelineInner {
     index: TimelineIndex,
-    ledger: HashMap<SessionId, Vec<Booking>>,
+    ledger: Ledger,
+}
+
+/// The per-session booking ledger: every booking in one slab, each
+/// session's bookings a singly linked list through it in booking order,
+/// and one `(first, last)` map entry per session. Slots a cancel or a
+/// compaction frees go on a free list threaded through `next`.
+///
+/// Order matters: `cancel` removes a session's windows from the index
+/// and sums their volumes in booking order, and both are float sums.
+#[derive(Debug)]
+struct Ledger {
+    sessions: HashMap<SessionId, (u32, u32)>,
+    slots: Vec<LedgerSlot>,
+    /// Head of the free-slot list.
+    free: u32,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct LedgerSlot {
+    booking: Booking,
+    /// The session's next booking, or the next free slot ([`NIL`] ends
+    /// either list).
+    next: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<LedgerSlot>() == 32);
+
+impl Default for Ledger {
+    fn default() -> Self {
+        Ledger {
+            sessions: HashMap::new(),
+            slots: Vec::new(),
+            free: NIL,
+        }
+    }
+}
+
+impl Ledger {
+    /// Appends `booking` to `session`'s list.
+    fn push(&mut self, session: SessionId, booking: Booking) {
+        let slot = LedgerSlot { booking, next: NIL };
+        let at = if self.free == NIL {
+            let at = next_slot(self.slots.len());
+            self.slots.push(slot);
+            at
+        } else {
+            let at = self.free;
+            self.free = self.slots[at as usize].next;
+            self.slots[at as usize] = slot;
+            at
+        };
+        match self.sessions.get_mut(&session) {
+            Some((_, last)) => {
+                self.slots[*last as usize].next = at;
+                *last = at;
+            }
+            None => {
+                self.sessions.insert(session, (at, at));
+            }
+        }
+    }
+
+    /// `session`'s bookings, in booking order.
+    fn bookings(&self, session: SessionId) -> impl Iterator<Item = &Booking> + '_ {
+        let first = self.sessions.get(&session).map(|&(first, _)| first);
+        std::iter::successors(first, move |&at| {
+            Some(self.slots[at as usize].next).filter(|&next| next != NIL)
+        })
+        .map(move |at| &self.slots[at as usize].booking)
+    }
+
+    /// Drops `session`'s list, handing each booking to `each` in booking
+    /// order as its slot is freed.
+    fn remove(&mut self, session: SessionId, mut each: impl FnMut(Booking)) {
+        let Some((mut at, _)) = self.sessions.remove(&session) else {
+            return;
+        };
+        while at != NIL {
+            let slot = &mut self.slots[at as usize];
+            let next = slot.next;
+            each(slot.booking);
+            slot.next = self.free;
+            self.free = at;
+            at = next;
+        }
+    }
+
+    /// One pass over every list: frees the slots of bookings `keep`
+    /// refuses, relinks the survivors in their order, and forgets
+    /// sessions left with none.
+    fn retain(&mut self, mut keep: impl FnMut(&Booking) -> bool) {
+        let Ledger {
+            sessions,
+            slots,
+            free,
+        } = self;
+        sessions.retain(|_, (first, last)| {
+            let (mut head, mut tail) = (NIL, NIL);
+            let mut at = *first;
+            while at != NIL {
+                let slot = &mut slots[at as usize];
+                let next = slot.next;
+                if keep(&slot.booking) {
+                    slot.next = NIL;
+                    if tail == NIL {
+                        head = at;
+                    } else {
+                        slots[tail as usize].next = at;
+                    }
+                    tail = at;
+                } else {
+                    slot.next = *free;
+                    *free = at;
+                }
+                at = next;
+            }
+            (*first, *last) = (head, tail);
+            head != NIL
+        });
+    }
 }
 
 impl TimelineBroker {
@@ -503,26 +718,34 @@ impl TimelineBroker {
     /// volume and booking count (zeroes when none).
     pub fn cancel(&self, session: SessionId) -> CancelOutcome {
         let mut inner = self.inner.lock();
-        let Some(bookings) = inner.ledger.remove(&session) else {
-            return CancelOutcome::default();
-        };
+        let TimelineInner { index, ledger } = &mut *inner;
         let mut outcome = CancelOutcome::default();
-        for b in bookings {
-            inner.index.remove(b.from, b.to, b.amount);
+        ledger.remove(session, |b| {
+            index.remove(b.from, b.to, b.amount);
             outcome.released_volume += b.volume();
             outcome.bookings_removed += 1;
-        }
+        });
         outcome
     }
 
-    /// The bookings `session` currently holds.
+    /// The bookings `session` currently holds, in booking order.
     pub fn bookings_of(&self, session: SessionId) -> Vec<Booking> {
         self.inner
             .lock()
             .ledger
-            .get(&session)
-            .cloned()
-            .unwrap_or_default()
+            .bookings(session)
+            .copied()
+            .collect()
+    }
+
+    /// Whether any booking of `session` overlaps `[from, to)` — what
+    /// [`TimelineBroker::bookings_of`] would answer, without the copy.
+    pub(crate) fn holds_over(&self, session: SessionId, from: SimTime, to: SimTime) -> bool {
+        self.inner
+            .lock()
+            .ledger
+            .bookings(session)
+            .any(|b| b.from < to && b.to > from)
     }
 
     /// Number of breakpoints in the reservation index.
@@ -536,10 +759,7 @@ impl TimelineBroker {
     pub fn compact(&self, now: SimTime) {
         let mut inner = self.inner.lock();
         inner.index.compact(now);
-        for bookings in inner.ledger.values_mut() {
-            bookings.retain(|b| b.to > now);
-        }
-        inner.ledger.retain(|_, b| !b.is_empty());
+        inner.ledger.retain(|b| b.to > now);
     }
 }
 
@@ -585,17 +805,10 @@ impl TimelineGuard<'_> {
     /// validated them against this same guard, or is restoring state
     /// that was admitted before.
     pub(crate) fn install(&mut self, session: SessionId, bookings: &[Booking]) {
-        if bookings.is_empty() {
-            return;
-        }
-        for b in bookings {
+        for &b in bookings {
             self.inner.index.add(b.from, b.to, b.amount);
+            self.inner.ledger.push(session, b);
         }
-        self.inner
-            .ledger
-            .entry(session)
-            .or_default()
-            .extend_from_slice(bookings);
     }
 }
 
@@ -874,11 +1087,9 @@ impl AdvanceRegistry {
                 .iter()
                 .filter(|(sid, _)| {
                     demand.iter().any(|(id, _)| {
-                        self.brokers.get(&id).is_some_and(|b| {
-                            b.bookings_of(**sid)
-                                .iter()
-                                .any(|bk| bk.from < to && bk.to > from)
-                        })
+                        self.brokers
+                            .get(&id)
+                            .is_some_and(|b| b.holds_over(**sid, from, to))
                     })
                 })
                 .map(|(sid, spec)| (*sid, spec.clone()))
@@ -1119,23 +1330,164 @@ mod tests {
     /// breakpoint after `from` by an in-order walk of the whole tree,
     /// each with its own `level_at`.
     fn eager_steps(index: &TimelineIndex, from: SimTime) -> Vec<(SimTime, f64)> {
-        fn collect_after(node: &Option<Box<IndexNode>>, from: SimTime, out: &mut Vec<SimTime>) {
-            let Some(n) = node else {
+        fn collect_after(ix: &TimelineIndex, at: u32, from: SimTime, out: &mut Vec<SimTime>) {
+            if at == NIL {
                 return;
-            };
+            }
+            let n = ix.node(at);
             if n.key > from {
-                collect_after(&n.left, from, out);
+                collect_after(ix, n.left, from, out);
                 out.push(n.key);
-                collect_after(&n.right, from, out);
+                collect_after(ix, n.right, from, out);
             } else {
-                collect_after(&n.right, from, out);
+                collect_after(ix, n.right, from, out);
             }
         }
         let mut keys = vec![from];
-        collect_after(&index.root, from, &mut keys);
+        collect_after(index, index.root, from, &mut keys);
         keys.into_iter()
             .map(|key| (key, index.level_at(key)))
             .collect()
+    }
+
+    /// Checks the arena's bookkeeping: `breakpoints()` is the number of
+    /// nodes an in-order walk reaches, every slot is reachable or free
+    /// (never both, never twice), and so the arena is exactly live
+    /// nodes plus free list.
+    fn check_arena(ix: &TimelineIndex) -> Result<(), String> {
+        fn walk(ix: &TimelineIndex, at: u32, seen: &mut [bool]) -> Result<usize, String> {
+            if at == NIL {
+                return Ok(0);
+            }
+            let slot = seen
+                .get_mut(at as usize)
+                .ok_or(format!("link to slot {at} past the arena"))?;
+            if std::mem::replace(slot, true) {
+                return Err(format!("slot {at} reached twice"));
+            }
+            let n = ix.node(at);
+            Ok(walk(ix, n.left, seen)? + 1 + walk(ix, n.right, seen)?)
+        }
+        let mut seen = vec![false; ix.nodes.len()];
+        let live = walk(ix, ix.root, &mut seen)?;
+        if live != ix.breakpoints() {
+            return Err(format!(
+                "{live} nodes reachable, {} counted",
+                ix.breakpoints()
+            ));
+        }
+        let mut free = 0;
+        let mut at = ix.free;
+        while at != NIL {
+            let slot = seen
+                .get_mut(at as usize)
+                .ok_or(format!("free link to slot {at} past the arena"))?;
+            if std::mem::replace(slot, true) {
+                return Err(format!(
+                    "slot {at} is both reachable and free, or free twice"
+                ));
+            }
+            free += 1;
+            at = ix.node(at).left;
+        }
+        if ix.nodes.len() != live + free {
+            return Err(format!(
+                "arena of {} slots holds {live} live + {free} free",
+                ix.nodes.len()
+            ));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn a_window_cycled_reuses_its_two_slots() {
+        let mut ix = TimelineIndex::new();
+        for i in 0..1_000 {
+            let from = t(f64::from(i % 7));
+            ix.add(from, from + 2.5, 1.25);
+            assert_eq!(ix.breakpoints(), 2);
+            ix.remove(from, from + 2.5, 1.25);
+            assert_eq!(ix.breakpoints(), 0);
+        }
+        assert_eq!(
+            ix.nodes.len(),
+            2,
+            "the arena grows only to the peak live count"
+        );
+        check_arena(&ix).unwrap();
+    }
+
+    #[test]
+    fn a_session_cycled_reuses_its_ledger_slots() {
+        let b = TimelineBroker::new(ResourceId(0), 10.0);
+        for i in 0..1_000 {
+            let s = SessionId(i);
+            b.reserve_window(s, 1.0, t(0.0), t(1.0)).unwrap();
+            b.reserve_window(s, 2.0, t(3.0), t(4.0)).unwrap();
+            assert_eq!(b.cancel(s).bookings_removed, 2);
+        }
+        let inner = b.inner.lock();
+        assert_eq!(inner.ledger.slots.len(), 2);
+        assert!(inner.ledger.sessions.is_empty());
+        assert_eq!(inner.index.nodes.len(), 4);
+    }
+
+    #[test]
+    fn compaction_keeps_the_survivors_in_booking_order() {
+        let b = TimelineBroker::new(ResourceId(0), 100.0);
+        let s = SessionId(1);
+        let first = Booking {
+            from: t(10.0),
+            to: t(20.5),
+            amount: 1.5,
+        };
+        let expiring = Booking {
+            from: t(0.0),
+            to: t(5.0),
+            amount: 2.25,
+        };
+        let third = Booking {
+            from: t(30.0),
+            to: t(40.1),
+            amount: 0.7,
+        };
+        for bk in [first, expiring, third] {
+            b.reserve_window(s, bk.amount, bk.from, bk.to).unwrap();
+        }
+        // A session whose only booking expires leaves the ledger; one
+        // whose last booking expires gets a new tail.
+        b.reserve_window(SessionId(2), 3.0, t(1.0), t(4.0)).unwrap();
+        let tail = SessionId(3);
+        b.reserve_window(tail, 1.0, t(8.0), t(9.0)).unwrap();
+        b.reserve_window(tail, 1.0, t(2.0), t(3.0)).unwrap();
+        b.compact(t(6.0));
+        assert_eq!(b.bookings_of(s), vec![first, third]);
+        assert!(b.bookings_of(SessionId(2)).is_empty());
+        assert_eq!(b.bookings_of(tail).len(), 1);
+        assert_eq!(b.inner.lock().ledger.sessions.len(), 2);
+        let expected = 0.0 + first.volume() + third.volume();
+        let out = b.cancel(s);
+        assert_eq!(out.bookings_removed, 2);
+        assert_eq!(out.released_volume.to_bits(), expected.to_bits());
+        b.reserve_window(tail, 1.0, t(40.0), t(41.0)).unwrap();
+        let kept: Vec<_> = b.bookings_of(tail).iter().map(|bk| bk.from).collect();
+        assert_eq!(kept, vec![t(8.0), t(40.0)]);
+        assert_eq!(b.cancel(tail).released_volume, 2.0);
+        assert_eq!(b.available_over(t(0.0), t(50.0)), 100.0);
+        assert_eq!(b.breakpoints(), 0);
+    }
+
+    #[test]
+    fn holds_over_reads_the_ledger_without_copying_it() {
+        let b = TimelineBroker::new(ResourceId(0), 10.0);
+        let s = SessionId(1);
+        b.reserve_window(s, 1.0, t(10.0), t(20.0)).unwrap();
+        b.reserve_window(s, 1.0, t(30.0), t(40.0)).unwrap();
+        assert!(b.holds_over(s, t(15.0), t(16.0)));
+        assert!(b.holds_over(s, t(39.0), t(50.0)));
+        assert!(!b.holds_over(s, t(20.0), t(30.0)), "windows are half-open");
+        assert!(!b.holds_over(s, t(0.0), t(10.0)));
+        assert!(!b.holds_over(SessionId(2), t(0.0), t(50.0)));
     }
 
     #[test]
@@ -1218,6 +1570,7 @@ mod tests {
                         live.retain(|&(_, to, _)| to > t(at));
                     }
                 }
+                prop_assert_eq!(check_arena(&ix), Ok(()));
                 // Every time is >= 0, so -1 lies before the first
                 // breakpoint and its eager list names them all.
                 let before = t(-1.0);
