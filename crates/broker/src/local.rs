@@ -37,6 +37,17 @@ struct Inner {
     changes: VecDeque<(SimTime, f64)>,
 }
 
+impl Inner {
+    /// The availability after the last change at or before `t`; before
+    /// the log begins, the oldest known value.
+    fn available_at(&self, t: SimTime) -> f64 {
+        match self.changes.partition_point(|&(ct, _)| ct <= t) {
+            0 => self.changes.front().expect("log never empty").1,
+            n => self.changes[n - 1].1,
+        }
+    }
+}
+
 /// A Resource Broker for a single local resource.
 ///
 /// Thread-safe (interior mutability behind a [`parking_lot::Mutex`]);
@@ -117,18 +128,13 @@ impl Broker for LocalBroker {
     }
 
     fn available_at(&self, t: SimTime) -> f64 {
-        let inner = self.inner.lock();
-        // Last change at or before `t`; before the log begins, report the
-        // oldest known value.
-        match inner.changes.partition_point(|&(ct, _)| ct <= t) {
-            0 => inner.changes.front().expect("log never empty").1,
-            n => inner.changes[n - 1].1,
-        }
+        self.inner.lock().available_at(t)
     }
 
     fn report_observed(&self, now: SimTime, observed_at: SimTime) -> BrokerReport {
-        let avail = self.available_at(observed_at);
-        let alpha = self.inner.lock().alpha.observe(now, avail);
+        let mut inner = self.inner.lock();
+        let avail = inner.available_at(observed_at);
+        let alpha = inner.alpha.observe(now, avail);
         BrokerReport { avail, alpha }
     }
 

@@ -190,15 +190,6 @@ impl QosProxy {
 }
 
 impl QosProxy {
-    pub(crate) fn reserve_segment(
-        &self,
-        session: SessionId,
-        demand: &ResourceVector,
-        now: SimTime,
-    ) -> Result<(), ReserveError> {
-        self.brokers.reserve_all(session, demand, now)
-    }
-
     pub(crate) fn release_session(&self, session: SessionId, now: SimTime) -> f64 {
         self.brokers.release_all(session, now)
     }
@@ -481,9 +472,10 @@ impl Coordinator {
         outcome
     }
 
-    /// The establishment engine behind both [`Coordinator::establish_request`]
-    /// and the batched admission queue's single-session fallbacks.
-    /// Returns the result plus the rank the *first* attempt planned (for
+    /// The establishment engine behind [`Coordinator::establish_request`]:
+    /// per-request collect, plan and dispatch, with retries. The batched
+    /// admission queue runs its own rounds and shares only
+    /// [`Coordinator::dispatch`] with it. Returns the result plus the rank the *first* attempt planned (for
     /// degraded-commit classification) and, on planning failure, the
     /// nearest-miss blocking resource.
     #[allow(clippy::too_many_arguments)]
@@ -849,7 +841,7 @@ impl Coordinator {
         let _span = self
             .timers
             .span_traced(Phase::Collect, self.sink.as_ref(), now.value());
-        let mut view = AvailabilityView::new();
+        let mut view = AvailabilityView::with_capacity(self.owner.len());
         let faults_active = self.faults.is_active();
         for (i, proxy) in self.proxies.iter().enumerate() {
             if faults_active {
@@ -1056,24 +1048,28 @@ impl Coordinator {
         let _span = self
             .timers
             .span_traced(Phase::Commit, self.sink.as_ref(), now.value());
-        let mut segments: HashMap<usize, Vec<(ResourceId, f64)>> = HashMap::new();
+        // One (proxy, resource, amount) hop per demanded resource, stably
+        // sorted by proxy: each proxy's segment is one run of hops, in
+        // resource-id order, and segments go out in proxy order.
+        let mut hops: Vec<Hop> = Vec::with_capacity(total.len());
         for (rid, amount) in total.iter() {
             let Some(&p) = self.owner.get(&rid) else {
                 return Err(ReserveError::UnknownResource { resource: rid }.into());
             };
-            segments.entry(p).or_default().push((rid, amount));
+            hops.push((p, rid, amount));
         }
-        let mut order: Vec<usize> = segments.keys().copied().collect();
-        order.sort_unstable();
+        hops.sort_by_key(|&(p, _, _)| p);
         let faults_active = use_faults && self.faults.is_active();
 
-        // Phase 3a (prepare): reserve each segment at its proxy.
-        let mut prepared: Vec<usize> = Vec::with_capacity(order.len());
-        for &p in &order {
+        // Phase 3a (prepare): reserve each segment at its proxy. The
+        // first `prepared` hops are held.
+        let mut prepared = 0;
+        for segment in segments(&hops) {
+            let p = segment[0].0;
             let host = self.proxies[p].host();
             if faults_active {
                 if self.faults.is_down(host) {
-                    self.rollback(id, &prepared, now, traced);
+                    self.rollback(id, &hops[..prepared], now, traced);
                     return Err(FaultError::HostDown {
                         host: host.to_string(),
                     }
@@ -1089,31 +1085,31 @@ impl Coordinator {
                                 .with_detail("reserve request lost"),
                         );
                     }
-                    self.rollback(id, &prepared, now, traced);
+                    self.rollback(id, &hops[..prepared], now, traced);
                     return Err(FaultError::MessageLost {
                         host: host.to_string(),
                     }
                     .into());
                 }
             }
-            let demand = ResourceVector::from_pairs(segments[&p].iter().copied())
-                .expect("plan demands are valid");
             self.shards[p].dispatches.fetch_add(1, Ordering::Relaxed);
-            if let Err(e) = self.proxies[p].reserve_segment(id, &demand, now) {
-                self.rollback(id, &prepared, now, traced);
+            let pairs = segment.iter().map(|&(_, rid, amount)| (rid, amount));
+            if let Err(e) = self.proxies[p].brokers.reserve_pairs(id, pairs, now) {
+                self.rollback(id, &hops[..prepared], now, traced);
                 return Err(e.into());
             }
-            prepared.push(p);
+            prepared += segment.len();
         }
 
         // Phase 3b (commit): confirm each prepared segment. A crash,
         // drop or injected failure here aborts the whole transaction —
         // the classic partial-commit case the rollback must cover.
-        for &p in &order {
+        for segment in segments(&hops) {
+            let p = segment[0].0;
             let host = self.proxies[p].host();
             if faults_active {
                 if self.faults.is_down(host) {
-                    self.rollback(id, &prepared, now, traced);
+                    self.rollback(id, &hops, now, traced);
                     return Err(FaultError::HostDown {
                         host: host.to_string(),
                     }
@@ -1129,7 +1125,7 @@ impl Coordinator {
                                 .with_detail("commit request lost"),
                         );
                     }
-                    self.rollback(id, &prepared, now, traced);
+                    self.rollback(id, &hops, now, traced);
                     return Err(FaultError::MessageLost {
                         host: host.to_string(),
                     }
@@ -1145,7 +1141,7 @@ impl Coordinator {
                                 .with_detail("commit failure injected"),
                         );
                     }
-                    self.rollback(id, &prepared, now, traced);
+                    self.rollback(id, &hops, now, traced);
                     return Err(FaultError::CommitFailed {
                         host: host.to_string(),
                     }
@@ -1159,27 +1155,39 @@ impl Coordinator {
         Ok(())
     }
 
-    /// Releases every prepared segment of a failed two-phase dispatch,
-    /// exactly once, and records the rollback (when any hop was held).
-    fn rollback(&self, id: SessionId, prepared: &[usize], now: SimTime, traced: bool) {
+    /// Releases every prepared segment of a failed two-phase dispatch
+    /// (the proxies of the `prepared` hops), exactly once, and records
+    /// the rollback (when any hop was held).
+    fn rollback(&self, id: SessionId, prepared: &[Hop], now: SimTime, traced: bool) {
         if prepared.is_empty() {
             return;
         }
         let _span = self
             .timers
             .span_traced(Phase::Rollback, self.sink.as_ref(), now.value());
-        for &q in prepared {
-            self.proxies[q].release_session(id, now);
+        let mut released = 0;
+        for segment in segments(prepared) {
+            self.proxies[segment[0].0].release_session(id, now);
+            released += 1;
         }
         self.counters.record_rollback();
         if traced {
             self.sink.emit(
                 &TraceEvent::new(now.value(), EventKind::EstablishRollback)
                     .with_session(id.0)
-                    .with_detail(format!("released {} prepared segment(s)", prepared.len())),
+                    .with_detail(format!("released {released} prepared segment(s)")),
             );
         }
     }
+}
+
+/// One demanded resource in a dispatch: `(owning proxy, resource,
+/// amount)`.
+type Hop = (usize, ResourceId, f64);
+
+/// The per-proxy segments of hops sorted by proxy.
+fn segments(hops: &[Hop]) -> impl Iterator<Item = &[Hop]> {
+    hops.chunk_by(|a, b| a.0 == b.0)
 }
 
 #[cfg(test)]

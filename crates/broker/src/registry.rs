@@ -106,21 +106,30 @@ impl BrokerRegistry {
         demand: &ResourceVector,
         now: SimTime,
     ) -> Result<(), ReserveError> {
-        let mut done: Vec<&Arc<dyn Broker>> = Vec::with_capacity(demand.len());
-        for (id, amount) in demand.iter() {
-            let Some(broker) = self.brokers.get(&id) else {
-                for b in done {
-                    b.release(session, now);
-                }
-                return Err(ReserveError::UnknownResource { resource: id });
+        self.reserve_pairs(session, demand.iter(), now)
+    }
+
+    /// [`BrokerRegistry::reserve_all`] over `(resource, amount)` pairs,
+    /// reserved in the order given; a rollback releases the resources
+    /// already reserved in that same order. The pairs are walked a
+    /// second time only to roll back.
+    pub(crate) fn reserve_pairs(
+        &self,
+        session: SessionId,
+        pairs: impl Iterator<Item = (ResourceId, f64)> + Clone,
+        now: SimTime,
+    ) -> Result<(), ReserveError> {
+        for (reserved, (id, amount)) in pairs.clone().enumerate() {
+            let result = match self.brokers.get(&id) {
+                Some(broker) => broker.reserve(session, amount, now),
+                None => Err(ReserveError::UnknownResource { resource: id }),
             };
-            if let Err(e) = broker.reserve(session, amount, now) {
-                for b in done {
-                    b.release(session, now);
+            if let Err(e) = result {
+                for (id, _) in pairs.take(reserved) {
+                    self.brokers[&id].release(session, now);
                 }
                 return Err(e);
             }
-            done.push(broker);
         }
         Ok(())
     }

@@ -34,6 +34,13 @@ impl AvailabilityView {
         Self::default()
     }
 
+    /// Creates an empty view with room for `n` observations.
+    pub fn with_capacity(n: usize) -> Self {
+        AvailabilityView {
+            entries: Vec::with_capacity(n),
+        }
+    }
+
     #[inline]
     fn search(&self, id: ResourceId) -> Result<usize, usize> {
         self.entries.binary_search_by_key(&id, |&(rid, _)| rid)

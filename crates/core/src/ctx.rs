@@ -5,9 +5,10 @@
 //! every `establish`/`replan`, so a [`PlanCtx`] holds the graph split by
 //! lifetime:
 //!
-//! * **Per service spec** (cached, shared): the [`QrgSkeleton`] — node
-//!   layout, candidate edges, adjacency, relaxation order; see its module
-//!   docs.
+//! * **Per service spec** (built once per context, kept): the
+//!   [`QrgSkeleton`] — node layout, candidate edges, adjacency,
+//!   relaxation order; see its module docs. A context keeps the skeleton
+//!   of every spec it has planned until no session of that spec is left.
 //! * **Per snapshot** (recomputed in [`PlanCtx::prepare`], or repaired by
 //!   [`PlanCtx::prepare_delta`]; zero allocations in steady state): each
 //!   candidate edge's scaled canonical demand, feasibility, weight Ψ, and
@@ -62,7 +63,7 @@ use crate::skeleton::QrgSkeleton;
 use crate::snapshot::EpochSnapshot;
 use crate::view::{CtxView, PlanScratch};
 use crate::{AvailabilityView, NodeRef, PlanError, Planner, PsiDef, ReservationPlan};
-use qosr_model::{ResourceId, SessionInstance};
+use qosr_model::{ResourceId, ServiceSpec, SessionInstance};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -91,10 +92,10 @@ pub(crate) struct EdgeBottleneck {
     pub alpha: f64,
 }
 
-/// Reusable planning context: a cached per-service [`QrgSkeleton`] plus
-/// flat per-call buffers. Call [`PlanCtx::prepare`] with a session and an
-/// availability snapshot, then [`PlanCtx::plan`] (any number of times).
-/// After warm-up, neither step allocates.
+/// Reusable planning context: the [`QrgSkeleton`] of every service spec
+/// it has planned plus flat per-call buffers. Call [`PlanCtx::prepare`]
+/// with a session and an availability snapshot, then [`PlanCtx::plan`]
+/// (any number of times). After warm-up, neither step allocates.
 ///
 /// For snapshot sequences, [`PlanCtx::prepare_delta`] /
 /// [`PlanCtx::prepare_epoch`] are the incremental alternative to
@@ -104,7 +105,11 @@ pub(crate) struct EdgeBottleneck {
 /// rides in steady state.
 #[derive(Debug, Default)]
 pub struct PlanCtx {
+    /// The skeleton of the prepared session's spec (one of `skeletons`).
     skeleton: Option<Arc<QrgSkeleton>>,
+    /// One skeleton per spec this context has planned, in first-planned
+    /// order, looked up by [`ServiceSpec::uid`].
+    skeletons: Vec<Arc<QrgSkeleton>>,
     options: QrgOptions,
     /// Canonical scaled demand segment of candidate `e`:
     /// `demand_buf[demand_off[e] .. demand_off[e + 1]]`, sorted by
@@ -186,8 +191,8 @@ impl PlanCtx {
 
     /// Prepares the context for planning `session` under the availability
     /// snapshot `view` — step (1) of the runtime algorithm (§4.1.1). The
-    /// session's service skeleton is fetched from the process-wide memo
-    /// (computed on first encounter); demands, feasibility, weights and
+    /// session's service skeleton is the one this context built the
+    /// first time it planned that spec; demands, feasibility, weights and
     /// bottlenecks are recomputed into reusable buffers.
     ///
     /// This is the *full* path: it always rebuilds every candidate and
@@ -214,7 +219,7 @@ impl PlanCtx {
         let sk = match &self.skeleton {
             Some(sk) if sk.service().uid() == session.service().uid() => sk.clone(),
             _ => {
-                let sk = QrgSkeleton::shared(session.service());
+                let sk = self.skeleton_of(session.service());
                 self.skeleton = Some(sk.clone());
                 sk
             }
@@ -282,6 +287,25 @@ impl PlanCtx {
             self.weight[e] = w;
             self.bottleneck[e] = b;
         }
+    }
+
+    /// The skeleton of `service` from this context's set, built on first
+    /// encounter. Before a build, every skeleton whose spec only the
+    /// skeleton itself still holds is dropped: no session of that spec
+    /// is left to plan.
+    fn skeleton_of(&mut self, service: &Arc<ServiceSpec>) -> Arc<QrgSkeleton> {
+        let counters = qosr_obs::Counters::global();
+        let uid = service.uid();
+        if let Some(sk) = self.skeletons.iter().find(|sk| sk.service().uid() == uid) {
+            counters.record_skeleton_hit();
+            return sk.clone();
+        }
+        counters.record_skeleton_miss();
+        self.skeletons
+            .retain(|sk| Arc::strong_count(sk.service()) > 1);
+        let sk = Arc::new(QrgSkeleton::build(service.clone()));
+        self.skeletons.push(sk.clone());
+        sk
     }
 
     /// Incremental prepare against an arbitrary availability view (e.g.
@@ -724,7 +748,17 @@ pub struct CandidateEval {
 impl PlanCtx {
     /// The prepared skeleton.
     pub(crate) fn skeleton(&self) -> &QrgSkeleton {
-        self.skeleton.as_deref().expect("prepared")
+        self.skeleton_arc()
+    }
+
+    /// The prepared skeleton, shared.
+    pub(crate) fn skeleton_arc(&self) -> &Arc<QrgSkeleton> {
+        self.skeleton.as_ref().expect("prepared")
+    }
+
+    /// How many skeletons the context holds.
+    pub(crate) fn skeleton_count(&self) -> usize {
+        self.skeletons.len()
     }
 
     /// The view over the prepared buffers and Pass I's result over it,
@@ -777,6 +811,36 @@ mod tests {
                 assert_eq!(plan.sink_level, expect_level);
             }
         }
+    }
+
+    #[test]
+    fn specs_without_sessions_are_evicted_on_the_next_miss() {
+        fn prepare(ctx: &mut PlanCtx, fx: &ChainFixture) {
+            let view = AvailabilityView::from_fn(fx.space.ids(), |_| 100.0);
+            ctx.prepare(&fx.session, &view, &QrgOptions::default());
+        }
+        let mut ctx = PlanCtx::new();
+        let kept = ChainFixture::paper_like();
+        let gone = ChainFixture::paper_like();
+        prepare(&mut ctx, &gone);
+        let dropped = Arc::downgrade(ctx.skeleton_arc());
+        prepare(&mut ctx, &kept);
+        drop(gone);
+        // A hit evicts nothing...
+        prepare(&mut ctx, &kept);
+        assert!(dropped.upgrade().is_some());
+        // ...the next miss drops the skeleton nobody can plan with.
+        let current = ChainFixture::paper_like();
+        prepare(&mut ctx, &current);
+        assert!(dropped.upgrade().is_none(), "evicted on the miss");
+        assert_eq!(ctx.skeleton_count(), 2);
+
+        // The prepared spec's skeleton goes too once its sessions do.
+        let prepared = Arc::downgrade(ctx.skeleton_arc());
+        drop(current);
+        prepare(&mut ctx, &ChainFixture::paper_like());
+        assert!(prepared.upgrade().is_none(), "evicted on the miss");
+        assert_eq!(ctx.skeleton_count(), 2);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! it. The pool's mutex is held only for the `Vec` push/pop —
 //! nanoseconds — never for the planning work itself.
 //!
-//! Contexts keep whatever [`QrgSkeleton`](crate::QrgSkeleton) they last
-//! planned against, so a pool that serves a recurring service mix stays
-//! warm across checkouts exactly like the old single shared context did.
+//! Each context keeps the [`QrgSkeleton`](crate::QrgSkeleton) of every
+//! service spec it has planned, until no session of that spec is left,
+//! so a pool that serves a recurring service mix builds each skeleton
+//! once per context and stays warm across checkouts.
 
 use crate::ctx::PlanCtx;
 use std::sync::Mutex;

@@ -17,8 +17,9 @@
 //!   when **all** of them are (Pass I takes the max over them).
 //!
 //! Everything here is a pure function of the service spec, so a
-//! `QrgSkeleton` is computed once per spec (memoized behind an [`Arc`],
-//! keyed on [`ServiceSpec::uid`]) and shared by every planning call:
+//! [`crate::PlanCtx`] builds a `QrgSkeleton` the first time it plans a
+//! spec and keeps it, keyed on [`ServiceSpec::uid`], for every later
+//! planning call on that spec:
 //!
 //! * the node layout: component by component, its `Q^in` levels then its
 //!   `Q^out` levels (`in_offset`/`out_offset`/`node_refs`);
@@ -38,8 +39,7 @@
 //!   sink ranking.
 
 use qosr_model::ServiceSpec;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::Arc;
 
 /// Identifies a QRG node: an input or output QoS level of one component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,32 +113,8 @@ pub struct QrgSkeleton {
     pub(crate) n_out: Vec<u32>,
 }
 
-/// Process-wide skeleton memo. Holds weak references so dropping every
-/// session of a spec also drops its skeleton.
-fn cache() -> &'static Mutex<HashMap<u64, Weak<QrgSkeleton>>> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, Weak<QrgSkeleton>>>> = OnceLock::new();
-    CACHE.get_or_init(Default::default)
-}
-
 impl QrgSkeleton {
-    /// The memoized skeleton of `service`: computed on first call,
-    /// shared on every later call with the same spec (keyed on
-    /// [`ServiceSpec::uid`]).
-    pub fn shared(service: &Arc<ServiceSpec>) -> Arc<QrgSkeleton> {
-        let mut cache = cache().lock().expect("skeleton cache poisoned");
-        if let Some(sk) = cache.get(&service.uid()).and_then(Weak::upgrade) {
-            qosr_obs::Counters::global().record_skeleton_hit();
-            return sk;
-        }
-        qosr_obs::Counters::global().record_skeleton_miss();
-        let sk = Arc::new(QrgSkeleton::build(service.clone()));
-        cache.retain(|_, w| w.strong_count() > 0);
-        cache.insert(service.uid(), Arc::downgrade(&sk));
-        sk
-    }
-
-    /// Computes the skeleton of `service` (unmemoized; prefer
-    /// [`QrgSkeleton::shared`]).
+    /// Computes the skeleton of `service`.
     pub fn build(service: Arc<ServiceSpec>) -> QrgSkeleton {
         let graph = service.graph();
         let k = service.components().len();
@@ -318,6 +294,7 @@ impl QrgSkeleton {
 mod tests {
     use super::*;
     use crate::test_fixtures::*;
+    use crate::{AvailabilityView, PlanCtx, QrgOptions};
 
     #[test]
     fn candidate_order_follows_the_tables() {
@@ -345,13 +322,38 @@ mod tests {
 
     #[test]
     fn shared_memoizes_per_spec() {
-        let fx = ChainFixture::paper_like();
-        let a = QrgSkeleton::shared(fx.session.service());
-        let b = QrgSkeleton::shared(fx.session.service());
-        assert!(Arc::ptr_eq(&a, &b));
+        // A context that alternates between four specs builds each
+        // skeleton once and plans every later call on the same one.
+        let chain = ChainFixture::paper_like();
+        let (diamond, other) = (DagFixture::diamond(), DagFixture::non_convergent());
+        let tie = TieBreakFixture::new();
+        let cases = [
+            (&chain.session, &chain.space),
+            (&diamond.session, &diamond.space),
+            (&other.session, &other.space),
+            (&tie.session, &tie.space),
+        ];
+        let mut ctx = PlanCtx::new();
+        let mut first = Vec::new();
+        for round in 0..3 {
+            for (k, (session, space)) in cases.iter().enumerate() {
+                let view = AvailabilityView::from_fn(space.ids(), |_| 100.0);
+                ctx.prepare(session, &view, &QrgOptions::default());
+                if round == 0 {
+                    first.push(Arc::downgrade(ctx.skeleton_arc()));
+                } else {
+                    let built = first[k].upgrade().expect("the first build is still held");
+                    assert!(Arc::ptr_eq(ctx.skeleton_arc(), &built), "spec {k} rebuilt");
+                }
+            }
+        }
+        assert_eq!(ctx.skeleton_count(), 4);
         // A structurally identical but distinct spec gets its own entry.
-        let fx2 = ChainFixture::paper_like();
-        let c = QrgSkeleton::shared(fx2.session.service());
-        assert!(!Arc::ptr_eq(&a, &c));
+        let twin = ChainFixture::paper_like();
+        let view = AvailabilityView::from_fn(twin.space.ids(), |_| 100.0);
+        ctx.prepare(&twin.session, &view, &QrgOptions::default());
+        let built = first[0].upgrade().unwrap();
+        assert!(!Arc::ptr_eq(ctx.skeleton_arc(), &built));
+        assert_eq!(ctx.skeleton_count(), 5);
     }
 }

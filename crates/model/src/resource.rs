@@ -210,7 +210,7 @@ impl ResourceVector {
     }
 
     /// Iterator over `(resource, amount)` pairs in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (ResourceId, f64)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (ResourceId, f64)> + Clone + '_ {
         self.entries.iter().copied()
     }
 

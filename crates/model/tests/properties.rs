@@ -19,7 +19,7 @@ fn qos_pair() -> impl Strategy<Value = (QosVector, QosVector, QosVector)> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
+    #![proptest_config(ProptestConfig::with_cases_from_env(512))]
 
     /// The dominance relation is a partial order: reflexive,
     /// antisymmetric, transitive; `compare` is consistent with it.

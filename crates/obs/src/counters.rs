@@ -60,9 +60,9 @@ impl Counters {
     }
 
     /// The process-wide instance. Used by code with no owning
-    /// coordinator — notably the `QrgSkeleton` cache, which is itself a
-    /// process-wide memo. Because tests in one binary share this, assert
-    /// on *deltas* of its values, never absolutes.
+    /// coordinator — notably every planning context's `QrgSkeleton`
+    /// set. Because tests in one binary share this, assert on *deltas*
+    /// of its values, never absolutes.
     pub fn global() -> &'static Counters {
         static GLOBAL: OnceLock<Counters> = OnceLock::new();
         GLOBAL.get_or_init(Counters::new)
@@ -111,12 +111,13 @@ impl Counters {
         self.tradeoff_downgrades.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The `QrgSkeleton` memo served a cached skeleton.
+    /// A planning context switched to a spec whose `QrgSkeleton` it
+    /// already held.
     pub fn record_skeleton_hit(&self) {
         self.skeleton_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The `QrgSkeleton` memo had to build a skeleton from scratch.
+    /// A planning context had to build a `QrgSkeleton` from scratch.
     pub fn record_skeleton_miss(&self) {
         self.skeleton_misses.fetch_add(1, Ordering::Relaxed);
     }

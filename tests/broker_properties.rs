@@ -1,9 +1,13 @@
 //! Property-based tests of the broker layer: arbitrary operation
 //! sequences are replayed against a trivial reference model, checking
-//! conservation, ledger consistency, and the time-travel change log.
+//! conservation, ledger consistency, the time-travel change log, and
+//! that an availability report reads the log and feeds the α window
+//! exactly as the two separate queries would.
 
 use proptest::prelude::*;
-use qosr::broker::{Broker, BrokerRegistry, LocalBroker, LocalBrokerConfig, SessionId, SimTime};
+use qosr::broker::{
+    AlphaWindow, Broker, BrokerRegistry, LocalBroker, LocalBrokerConfig, SessionId, SimTime,
+};
 use qosr::model::{ResourceId, ResourceVector};
 use qosr::net::{LinkBroker, NetworkBroker};
 use std::collections::HashMap;
@@ -29,8 +33,88 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 const CAPACITY: f64 = 100.0;
 const EPS: f64 = 1e-9;
 
+/// One step of a report history: the reservations that move the change
+/// log, and reports observed `age` TU in the past.
+#[derive(Debug, Clone)]
+enum ReportOp {
+    Reserve { session: u8, amount: f64 },
+    Release { session: u8 },
+    Report { age: f64 },
+}
+
+fn report_op_strategy() -> impl Strategy<Value = ReportOp> {
+    prop_oneof![
+        (0u8..6, 0.1f64..40.0).prop_map(|(session, amount)| ReportOp::Reserve { session, amount }),
+        (0u8..6).prop_map(|session| ReportOp::Release { session }),
+        (0.0f64..6.0).prop_map(|age| ReportOp::Report { age }),
+    ]
+}
+
+/// Replays `ops` on `broker`, one every half TU. Every report's
+/// availability must be bit-equal to `available_at` at its observation
+/// time, and its α bit-equal to a standalone [`AlphaWindow`] of length
+/// `window` fed the same reports.
+fn check_reports(broker: &dyn Broker, window: f64, ops: &[ReportOp]) -> Result<(), TestCaseError> {
+    let mut alpha = AlphaWindow::new(window);
+    let mut t = 0.0;
+    for op in ops {
+        t += 0.5;
+        let now = SimTime::new(t);
+        match *op {
+            ReportOp::Reserve { session, amount } => {
+                let _ = broker.reserve(SessionId(u64::from(session)), amount, now);
+            }
+            ReportOp::Release { session } => {
+                broker.release(SessionId(u64::from(session)), now);
+            }
+            ReportOp::Report { age } => {
+                let at = SimTime::new(t - age);
+                let avail = broker.available_at(at);
+                let report = broker.report_observed(now, at);
+                prop_assert_eq!(report.avail.to_bits(), avail.to_bits());
+                prop_assert_eq!(report.alpha.to_bits(), alpha.observe(now, avail).to_bits());
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases_from_env(256))]
+
+    /// A `LocalBroker` report is the change log's answer plus one α
+    /// observation of it.
+    #[test]
+    fn local_reports_read_the_log_and_feed_alpha(
+        ops in prop::collection::vec(report_op_strategy(), 1..60),
+    ) {
+        let config = LocalBrokerConfig::default();
+        let broker = LocalBroker::new(ResourceId(0), CAPACITY, SimTime::ZERO, config);
+        check_reports(&broker, config.alpha_window, &ops)?;
+    }
+
+    /// A `NetworkBroker` report over 1–3 links is the route's minimum at
+    /// the observation time plus one α observation of the path's own.
+    #[test]
+    fn path_reports_read_the_links_and_feed_alpha(
+        capacities in prop::collection::vec(20.0f64..120.0, 1..4),
+        ops in prop::collection::vec(report_op_strategy(), 1..60),
+    ) {
+        let links: Vec<Arc<LinkBroker>> = capacities
+            .iter()
+            .enumerate()
+            .map(|(i, &cap)| Arc::new(LinkBroker::new(
+                qosr::net::LinkId(i), ResourceId(i as u32), cap,
+                SimTime::ZERO, LocalBrokerConfig::default(),
+            )))
+            .collect();
+        let path = NetworkBroker::new(ResourceId(99), links, 3.0);
+        check_reports(&path, 3.0, &ops)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases_from_env(256))]
 
     /// LocalBroker against a reference ledger: availability is always
     /// capacity − Σledger, reservations never overcommit, and the change

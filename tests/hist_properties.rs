@@ -20,7 +20,7 @@ fn value_strategy() -> impl Strategy<Value = u64> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases_from_env(256))]
 
     /// Sharded recording then merging reports the identical snapshot —
     /// count, sum, min, max, and every percentile — as one histogram
