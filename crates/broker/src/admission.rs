@@ -38,6 +38,13 @@
 //!    per request: a replan moves the group context off the snapshot,
 //!    and later requests of the group must still plan against it.)
 //!
+//! Per request, a round runs the same deadline gate, Pass II, QoS
+//! floor, commit and Committed/Degraded classification — with the same
+//! counters and trace events — as a sequential
+//! [`Coordinator::establish_request`]: both drive one crate-private
+//! request pipeline. What a round keeps to itself is its policy: one
+//! snapshot per epoch, no retries, and replans against the working view.
+//!
 //! A round is reproducible: each request plans with an RNG derived from
 //! `(seed, epoch, index, attempt)`, group contexts are prepared in
 //! discovery order, and each request's trace events are buffered while
@@ -48,11 +55,10 @@
 //! checks its contexts out of the coordinator's pool); the brokers stay
 //! the commit authority, so racing rounds never over-commit.
 
+use crate::pipeline::{Pipeline, Rejection};
 use crate::request::{planner_label, EstablishOutcome, NearestMiss, SessionRequest, SpanCollector};
-use crate::{
-    Coordinator, EstablishError, EstablishedSession, ObservationPolicy, ReserveError, SimTime,
-};
-use qosr_core::{AvailabilityView, FullReason, PlanCtx, Planner, RepairOutcome};
+use crate::{Coordinator, EstablishError, ObservationPolicy, ReserveError, SimTime};
+use qosr_core::{AvailabilityView, FullReason, PlanCtx, RepairOutcome, ReservationPlan};
 use qosr_obs::{Counters, EventKind, Phase, RequestTrace, SpanKind, SpanRecord, TraceEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -69,9 +75,11 @@ pub struct AdmissionConfig {
     /// Base seed for the per-request derived RNGs; two queues with the
     /// same seed admit identical batches identically.
     pub seed: u64,
-    /// Observation accuracy for the round's single phase-1 snapshot
-    /// (per-request observation options are not consulted — sharing one
-    /// snapshot is the point of batching).
+    /// Observation accuracy for the round's single phase-1 snapshot.
+    /// Per-request observation options are not consulted — sharing one
+    /// snapshot is the point of batching — and of a request's
+    /// [`RetryPolicy`](crate::RetryPolicy) a round honours only
+    /// `tradeoff_fallback`, as the planner its conflict replans use.
     pub observation: ObservationPolicy,
 }
 
@@ -101,13 +109,16 @@ pub struct AdmissionQueue<'a> {
     last_batch: AtomicUsize,
 }
 
-/// What planning produced for one request: the plan (or the terminal
-/// error), plus the buffered trace events to emit at its commit.
-struct Planned {
-    result: Result<qosr_core::ReservationPlan, EstablishError>,
-    nearest: Option<NearestMiss>,
-    downgraded: bool,
+/// What planning produced for one request, kept until its turn to
+/// commit: the plan (or its rejection) plus the buffered trace events
+/// to emit then.
+struct Planned<'a> {
+    pipeline: Pipeline<'a>,
+    /// The request's arrival index in the round.
+    index: usize,
+    result: Result<ReservationPlan, Rejection>,
     events: Vec<TraceEvent>,
+    downgraded: bool,
     /// When the request is traced: the wall-clock instant Pass II
     /// started and how long it ran, so the commit phase can attach an
     /// exact plan span without re-timing.
@@ -328,9 +339,7 @@ impl<'a> AdmissionQueue<'a> {
         let planned: Vec<Planned> = requests
             .iter()
             .enumerate()
-            .map(|(i, request)| {
-                self.plan_one(request, &mut group_ctxs[group_of[i]], epoch, i, now, traced)
-            })
+            .map(|(i, request)| self.plan_one(request, &mut group_ctxs[group_of[i]], epoch, i, now))
             .collect();
 
         coordinator.counters().record_batch_planned();
@@ -358,17 +367,7 @@ impl<'a> AdmissionQueue<'a> {
                 let offset = c.offset_ns(started);
                 c.push(SpanRecord::new(SpanKind::Collect, offset, ns));
             }
-            let outcome = self.commit_one(
-                request,
-                planned,
-                gctx,
-                &mut working,
-                epoch,
-                i,
-                now,
-                traced,
-                collector.as_mut(),
-            );
+            let outcome = self.commit_one(planned, gctx, &mut working, epoch, collector.as_mut());
             self.in_flight.store(n - i - 1, Ordering::Relaxed);
             let trace = collector.map(|c| {
                 let trace = c.finish(&outcome, request.session.service().name());
@@ -380,168 +379,46 @@ impl<'a> AdmissionQueue<'a> {
         }
     }
 
-    /// Phase 2b for one request: Pass II against its group's shared,
-    /// delta-prepared context, buffering the trace events the
-    /// single-session path would have emitted.
-    fn plan_one(
-        &self,
-        request: &SessionRequest,
+    /// Phase 2b for one request: the deadline gate and Pass II against
+    /// its group's shared, delta-prepared context, buffering the trace
+    /// events until the request commits.
+    fn plan_one<'r>(
+        &'r self,
+        request: &'r SessionRequest,
         ctx: &mut PlanCtx,
         epoch: u64,
         index: usize,
         now: SimTime,
-        traced: bool,
-    ) -> Planned {
-        let t = now.value();
-        let session = &request.session;
-        let service_name = session.service().name();
-        let mut events: Vec<TraceEvent> = Vec::new();
-        if traced {
-            events.push(TraceEvent::new(t, EventKind::PlanStarted).with_service(service_name));
-        }
-
-        if let Some(due) = request.deadline {
-            if t > due.value() {
-                let err = EstablishError::DeadlineExpired {
-                    deadline: due.value(),
-                    now: t,
-                };
-                if traced {
-                    events.push(
-                        TraceEvent::new(t, EventKind::PlanRejected)
-                            .with_service(service_name)
-                            .with_detail(err.to_string()),
-                    );
-                }
-                return Planned {
-                    result: Err(err),
-                    nearest: None,
-                    downgraded: false,
-                    events,
-                    span: None,
-                };
-            }
-        }
-
-        let mut rng = StdRng::seed_from_u64(derive_seed(self.config.seed, epoch, index as u64, 0));
-        // Time the plan with a plain (un-traced) span and buffer the
-        // timing event with the rest of the request's events. Traced
-        // requests additionally capture the raw instants so commit_one
-        // can attach the exact plan span.
-        let span_wanted = request.trace.is_some() && self.coordinator.tracer().enabled();
-        let plan_started = span_wanted.then(Instant::now);
-        let plan_span = self.coordinator.phase_timers().span(Phase::Plan);
-        let result = ctx.plan(request.options.planner, &mut rng);
-        let span = plan_started.map(|s| (s, s.elapsed().as_nanos() as u64));
-        if let Some(ns) = plan_span.end() {
-            if traced {
-                events.push(
-                    TraceEvent::new(t, EventKind::PhaseTiming)
-                        .with_name(Phase::Plan.name())
-                        .with_duration_ns(ns),
-                );
-            }
-        }
-        let mut nearest: Option<NearestMiss> = None;
-        if result.is_err() {
-            nearest = ctx
-                .nearest_miss()
-                .map(|(resource, ratio)| NearestMiss { resource, ratio });
-        }
-        if traced {
-            for c in ctx.candidates() {
-                let mut ev = TraceEvent::new(t, EventKind::CandidateEvaluated)
-                    .with_pair(c.component, c.qin, c.qout)
-                    .with_feasible(c.feasible)
-                    .with_psi(c.psi);
-                if let Some(rid) = c.resource {
-                    ev = ev.with_resource(u64::from(rid.0));
-                }
-                if let Some(alpha) = c.alpha {
-                    ev = ev.with_alpha(alpha);
-                }
-                events.push(ev);
-            }
-        }
-        let downgrade = ctx.last_downgrade();
-        if let Some((from, to)) = downgrade {
-            if traced {
-                events.push(
-                    TraceEvent::new(t, EventKind::TradeoffDowngrade)
-                        .with_service(service_name)
-                        .with_level(to)
-                        .with_detail(format!("stepped down from rank {from}")),
-                );
-            }
-        }
-
-        let result = match result {
-            Err(e) => {
-                if traced {
-                    let mut ev = TraceEvent::new(t, EventKind::PlanRejected)
-                        .with_service(service_name)
-                        .with_detail("no feasible end-to-end plan");
-                    if let Some(miss) = nearest {
-                        ev = ev
-                            .with_resource(u64::from(miss.resource.0))
-                            .with_psi(miss.ratio);
-                    }
-                    events.push(ev);
-                }
-                Err(e.into())
-            }
-            Ok(plan) => match request.qos_min {
-                Some(min) if plan.rank < min => {
-                    let err = EstablishError::QosBelowMin {
-                        achieved: plan.rank,
-                        min,
-                    };
-                    if traced {
-                        events.push(
-                            TraceEvent::new(t, EventKind::PlanRejected)
-                                .with_service(service_name)
-                                .with_level(plan.rank)
-                                .with_detail(err.to_string()),
-                        );
-                    }
-                    Err(err)
-                }
-                _ => {
-                    if traced {
-                        let mut ev = TraceEvent::new(t, EventKind::PlanCompleted)
-                            .with_service(service_name)
-                            .with_level(plan.rank)
-                            .with_psi(plan.psi);
-                        if let Some(b) = &plan.bottleneck {
-                            ev = ev
-                                .with_resource(u64::from(b.resource.0))
-                                .with_alpha(b.alpha);
-                        }
-                        events.push(ev);
-                        for a in &plan.assignments {
-                            let mut ev = TraceEvent::new(t, EventKind::HopSelected).with_pair(
-                                a.component as u32,
-                                a.qin as u32,
-                                a.qout as u32,
-                            );
-                            if let Some(c) = ctx.candidate(a.component, a.qin, a.qout) {
-                                ev = ev.with_psi(c.psi);
-                                if let Some(rid) = c.resource {
-                                    ev = ev.with_resource(u64::from(rid.0));
-                                }
-                            }
-                            events.push(ev);
-                        }
-                    }
-                    Ok(plan)
-                }
-            },
-        };
+    ) -> Planned<'r> {
+        let pipeline = Pipeline::new(self.coordinator, request, now);
+        let mut events = Vec::new();
+        let mut downgraded = false;
+        let mut span = None;
+        let result = pipeline.start(&mut events).and_then(|()| {
+            let mut rng =
+                StdRng::seed_from_u64(derive_seed(self.config.seed, epoch, index as u64, 0));
+            // Traced requests capture the raw instants so commit_one can
+            // attach the exact plan span.
+            let span_wanted = request.trace.is_some() && self.coordinator.tracer().enabled();
+            let started = span_wanted.then(Instant::now);
+            let timer = self.coordinator.phase_timers().span(Phase::Plan);
+            let result = pipeline.plan(
+                ctx,
+                request.options.planner,
+                &mut rng,
+                timer,
+                Some(&mut events),
+            );
+            span = started.map(|s| (s, s.elapsed().as_nanos() as u64));
+            downgraded = ctx.last_downgrade().is_some();
+            result
+        });
         Planned {
+            pipeline,
+            index,
             result,
-            nearest,
-            downgraded: downgrade.is_some(),
             events,
+            downgraded,
             span,
         }
     }
@@ -552,243 +429,125 @@ impl<'a> AdmissionQueue<'a> {
     /// context: the debited working view arrives as a delta, so a
     /// post-conflict replan repairs the group's relaxation instead of
     /// rebuilding it.
-    #[allow(clippy::too_many_arguments)]
     fn commit_one(
         &self,
-        request: &SessionRequest,
-        planned: Planned,
+        planned: Planned<'_>,
         gctx: &mut PlanCtx,
         working: &mut AvailabilityView,
         epoch: u64,
-        index: usize,
-        now: SimTime,
-        traced: bool,
         mut collector: Option<&mut SpanCollector>,
     ) -> EstablishOutcome {
-        let coordinator = self.coordinator;
-        let counters = coordinator.counters();
-        let sink = coordinator.sink();
-        let t = now.value();
-        let session = &request.session;
-        let service_name = session.service().name();
-
-        for ev in &planned.events {
-            sink.emit(ev);
-        }
-        counters.record_establish_attempt();
-        counters.record_plan_started();
-        if planned.downgraded {
-            counters.record_tradeoff_downgrade();
-        }
-        if let (Some(c), Some((started, ns))) = (collector.as_deref_mut(), planned.span) {
+        let Planned {
+            pipeline,
+            index,
+            result,
+            mut events,
+            downgraded,
+            span,
+        } = planned;
+        let request = pipeline.request;
+        let counters = self.coordinator.counters();
+        pipeline.flush(&mut events);
+        if let (Some(c), Some((started, ns))) = (collector.as_deref_mut(), span) {
             let offset = c.offset_ns(started);
             let mut span = SpanRecord::new(SpanKind::Plan, offset, ns)
                 .with_planner(planner_label(request.options.planner));
-            if let Ok(plan) = &planned.result {
-                span.psi = Some(plan.psi);
-            }
-            if planned.downgraded {
+            span.psi = result.as_ref().ok().map(|plan| plan.psi);
+            if downgraded {
                 span.detail = Some("downgraded".to_string());
             }
             c.push(span);
         }
 
-        let mut plan = match planned.result {
-            Ok(plan) => {
-                counters.record_plan_completed();
-                plan
-            }
-            Err(error) => {
-                counters.record_plan_rejected();
-                return EstablishOutcome::Rejected {
-                    error,
-                    nearest_miss: planned.nearest,
-                };
-            }
+        let mut plan = match result {
+            Ok(plan) => plan,
+            Err(rejection) => return pipeline.reject(rejection),
         };
-
-        let first_rank = plan.rank;
+        let first = plan.rank;
         let mut replans = 0u32;
         loop {
             let demand = plan.total_demand();
             // Conflict detection: does the round's working view still
             // cover this plan, or did an earlier commit consume its
             // Ψ-critical capacity?
-            let conflict = match working.first_deficit(demand.iter()) {
-                Some(deficit) => Some(deficit),
-                None => {
-                    let id = coordinator.alloc_session_id();
-                    let commit_started = collector.is_some().then(Instant::now);
-                    let dispatched = coordinator.dispatch(id, &demand, now, traced, true);
-                    if let (Some(c), Some(started)) = (collector.as_deref_mut(), commit_started) {
-                        let span = c.record(SpanKind::Commit, started);
-                        if replans > 0 {
-                            span.attempt = Some(replans);
+            let (resource, requested, available) = match working.first_deficit(demand.iter()) {
+                Some(deficit) => deficit,
+                None => match pipeline.commit(plan, &demand, replans, collector.as_deref_mut()) {
+                    Ok(est) => {
+                        for (rid, amount) in demand.iter() {
+                            working.debit(rid, amount);
                         }
-                        if dispatched.is_err() {
-                            span.detail = Some("rolled back".to_string());
-                        }
+                        return pipeline.classify(est, first);
                     }
-                    match dispatched {
-                        Ok(()) => {
-                            for (rid, amount) in demand.iter() {
-                                working.debit(rid, amount);
-                            }
-                            counters.record_establishment();
-                            counters.record_commit(plan.psi);
-                            if traced {
-                                let mut ev = TraceEvent::new(t, EventKind::ReservationCommitted)
-                                    .with_session(id.0)
-                                    .with_service(service_name)
-                                    .with_level(plan.rank)
-                                    .with_psi(plan.psi);
-                                if let Some(b) = &plan.bottleneck {
-                                    ev = ev
-                                        .with_resource(u64::from(b.resource.0))
-                                        .with_alpha(b.alpha);
-                                }
-                                sink.emit(&ev);
-                            }
-                            let est = EstablishedSession { id, plan };
-                            if est.plan.rank < first_rank {
-                                counters.record_degraded_commit();
-                                if traced {
-                                    sink.emit(
-                                        &TraceEvent::new(t, EventKind::DegradedEstablish)
-                                            .with_session(est.id.0)
-                                            .with_service(service_name)
-                                            .with_level(est.plan.rank)
-                                            .with_detail(format!(
-                                                "first plan of epoch {epoch} had rank {first_rank}"
-                                            )),
-                                    );
-                                }
-                                return EstablishOutcome::Degraded {
-                                    from: first_rank,
-                                    to: est.plan.rank,
-                                    session: est,
-                                };
-                            }
-                            return EstablishOutcome::Committed(est);
+                    Err(Rejection {
+                        error:
+                            EstablishError::Reserve(ReserveError::Insufficient {
+                                resource,
+                                requested,
+                                available,
+                            }),
+                        ..
+                    }) => {
+                        // Live broker state diverged from the round
+                        // snapshot (outside traffic, stale observation).
+                        // Clamp the working view to the truth the broker
+                        // just reported, so the replan routes around it.
+                        let seen = working.avail(resource);
+                        if seen > available {
+                            working.debit(resource, seen - available);
                         }
-                        Err(EstablishError::Reserve(ReserveError::Insufficient {
-                            resource,
-                            requested,
-                            available,
-                        })) => {
-                            // Live broker state diverged from the round
-                            // snapshot (outside traffic, stale
-                            // observation). Clamp the working view to
-                            // the truth the broker just reported, so the
-                            // replan routes around it.
-                            let seen = working.avail(resource);
-                            if seen > available {
-                                working.debit(resource, seen - available);
-                            }
-                            Some((resource, requested, available))
-                        }
-                        Err(error) => {
-                            match &error {
-                                EstablishError::Fault(fe) => {
-                                    counters.record_fault_failure();
-                                    if traced {
-                                        sink.emit(
-                                            &TraceEvent::new(t, EventKind::EstablishFaulted)
-                                                .with_session(id.0)
-                                                .with_service(service_name)
-                                                .with_name(fe.host())
-                                                .with_detail(fe.to_string()),
-                                        );
-                                    }
-                                }
-                                other => {
-                                    counters.record_reservation_rejected();
-                                    if traced {
-                                        sink.emit(
-                                            &TraceEvent::new(t, EventKind::ReservationRejected)
-                                                .with_session(id.0)
-                                                .with_service(service_name)
-                                                .with_detail(other.to_string()),
-                                        );
-                                    }
-                                }
-                            }
-                            return EstablishOutcome::Rejected {
-                                error,
-                                nearest_miss: None,
-                            };
-                        }
+                        (resource, requested, available)
                     }
-                }
+                    Err(rejection) => return pipeline.reject(rejection),
+                },
             };
-            let Some((resource, requested, available)) = conflict else {
-                unreachable!("non-conflict paths return above");
+            let miss = NearestMiss {
+                resource,
+                ratio: requested / available.max(1e-9),
             };
-            let ratio = requested / available.max(1e-9);
             counters.record_commit_conflict();
             if let Some(c) = collector.as_deref_mut() {
                 c.conflicts += 1;
             }
-            if traced {
-                sink.emit(
-                    &TraceEvent::new(t, EventKind::CommitConflict)
-                        .with_service(service_name)
+            if pipeline.traced {
+                pipeline.emit(
+                    &pipeline
+                        .event(EventKind::CommitConflict)
                         .with_resource(u64::from(resource.0))
-                        .with_psi(ratio)
+                        .with_psi(miss.ratio)
                         .with_detail(format!(
                             "requested {requested}, {available} left in epoch {epoch}"
                         )),
                 );
             }
             if replans >= self.config.max_replans {
-                counters.record_reservation_rejected();
-                let error = EstablishError::Reserve(ReserveError::Insufficient {
-                    resource,
-                    requested,
-                    available,
+                return pipeline.reject(Rejection {
+                    error: ReserveError::Insufficient {
+                        resource,
+                        requested,
+                        available,
+                    }
+                    .into(),
+                    nearest: Some(miss),
+                    session: None,
                 });
-                if traced {
-                    sink.emit(
-                        &TraceEvent::new(t, EventKind::ReservationRejected)
-                            .with_service(service_name)
-                            .with_resource(u64::from(resource.0))
-                            .with_detail(format!(
-                                "{error}; replan budget ({}) spent",
-                                self.config.max_replans
-                            )),
-                    );
-                }
-                return EstablishOutcome::Rejected {
-                    error,
-                    nearest_miss: Some(NearestMiss { resource, ratio }),
-                };
             }
             replans += 1;
             counters.record_replan();
             if let Some(c) = collector.as_deref_mut() {
                 c.retries += 1;
             }
-            if traced {
-                sink.emit(
-                    &TraceEvent::new(t, EventKind::Replanned)
-                        .with_service(service_name)
-                        .with_detail(format!(
-                            "replan {replans}/{} in epoch {epoch}",
-                            self.config.max_replans
-                        )),
-                );
+            if pipeline.traced {
+                pipeline.emit(&pipeline.event(EventKind::Replanned).with_detail(format!(
+                    "replan {replans}/{} in epoch {epoch}",
+                    self.config.max_replans
+                )));
             }
-            // Replan against the working view. Like the single-session
-            // retry path, fall back to the α-tradeoff planner so the
-            // request degrades to a feasible level instead of repeating
-            // the conflicted plan.
-            let planner = if request.options.retry.tradeoff_fallback
-                && matches!(request.options.planner, Planner::Basic)
-            {
-                Planner::Tradeoff
-            } else {
-                request.options.planner
-            };
+
+            // Replan against the working view with the planner a
+            // sequential retry falls back to, so the request degrades to
+            // a feasible level instead of repeating the conflicted plan.
+            let planner = pipeline.fallback_planner();
             let mut rng = StdRng::seed_from_u64(derive_seed(
                 self.config.seed,
                 epoch,
@@ -796,98 +555,50 @@ impl<'a> AdmissionQueue<'a> {
                 u64::from(replans),
             ));
             let replan_started = collector.is_some().then(Instant::now);
-            let inner_plan: Option<(Instant, u64)>;
-            let replanned = {
-                let _span = coordinator
-                    .phase_timers()
-                    .span_traced(Phase::Replan, sink.as_ref(), t);
-                // The working view diverged from whatever the group
-                // context last planned against only by what this round
-                // debited — exactly the delta the repair path wants.
-                let outcome = gctx.prepare_delta(session, working, &request.options.qrg);
-                record_delta_outcome(counters, &outcome);
-                if traced {
-                    sink.emit(&delta_repair_event(
-                        t,
-                        service_name,
-                        &outcome,
-                        format!("replan {replans} in epoch {epoch}"),
-                    ));
-                }
-                let plan_started = collector.is_some().then(Instant::now);
-                let result = match gctx.plan(planner, &mut rng) {
-                    Ok(p) => Ok(p),
-                    Err(e) => Err((
-                        EstablishError::from(e),
-                        gctx.nearest_miss()
-                            .map(|(resource, ratio)| NearestMiss { resource, ratio }),
-                    )),
-                };
-                inner_plan = plan_started.map(|s| (s, s.elapsed().as_nanos() as u64));
-                result
-            };
-            if let (Some(c), Some(started)) = (collector.as_deref_mut(), replan_started) {
+            let t = pipeline.now.value();
+            let timer = self.coordinator.phase_timers().span_traced(
+                Phase::Replan,
+                self.coordinator.sink().as_ref(),
+                t,
+            );
+            // The working view diverged from whatever the group context
+            // last planned against only by what this round debited —
+            // exactly the delta the repair path wants.
+            let outcome = gctx.prepare_delta(&request.session, working, &request.options.qrg);
+            record_delta_outcome(counters, &outcome);
+            if pipeline.traced {
+                pipeline.emit(&delta_repair_event(
+                    t,
+                    request.session.service().name(),
+                    &outcome,
+                    format!("replan {replans} in epoch {epoch}"),
+                ));
+            }
+            let plan_started = collector.is_some().then(Instant::now);
+            let replanned = pipeline.plan(gctx, planner, &mut rng, timer, None);
+            if let (Some(c), Some(started), Some(plan_started)) =
+                (collector.as_deref_mut(), replan_started, plan_started)
+            {
+                let inner = SpanRecord::new(
+                    SpanKind::Plan,
+                    c.offset_ns(plan_started),
+                    plan_started.elapsed().as_nanos() as u64,
+                )
+                .with_planner(planner_label(planner));
                 let mut span = SpanRecord::new(
                     SpanKind::Replan,
                     c.offset_ns(started),
                     started.elapsed().as_nanos() as u64,
                 )
                 .with_attempt(replans)
-                .with_resource(u64::from(resource.0));
-                if let Ok(p) = &replanned {
-                    span.psi = Some(p.psi);
-                }
-                if let Some((plan_at, ns)) = inner_plan {
-                    span = span.with_child(
-                        SpanRecord::new(SpanKind::Plan, c.offset_ns(plan_at), ns)
-                            .with_planner(planner_label(planner)),
-                    );
-                }
+                .with_resource(u64::from(resource.0))
+                .with_child(inner);
+                span.psi = replanned.as_ref().ok().map(|p| p.psi);
                 c.push(span);
             }
             match replanned {
-                Ok(p) => {
-                    if let Some(min) = request.qos_min {
-                        if p.rank < min {
-                            counters.record_plan_rejected();
-                            let error = EstablishError::QosBelowMin {
-                                achieved: p.rank,
-                                min,
-                            };
-                            if traced {
-                                sink.emit(
-                                    &TraceEvent::new(t, EventKind::PlanRejected)
-                                        .with_service(service_name)
-                                        .with_level(p.rank)
-                                        .with_detail(error.to_string()),
-                                );
-                            }
-                            return EstablishOutcome::Rejected {
-                                error,
-                                nearest_miss: None,
-                            };
-                        }
-                    }
-                    plan = p;
-                }
-                Err((error, nearest_miss)) => {
-                    counters.record_plan_rejected();
-                    if traced {
-                        let mut ev = TraceEvent::new(t, EventKind::PlanRejected)
-                            .with_service(service_name)
-                            .with_detail(format!("replan found no feasible plan: {error}"));
-                        if let Some(miss) = nearest_miss {
-                            ev = ev
-                                .with_resource(u64::from(miss.resource.0))
-                                .with_psi(miss.ratio);
-                        }
-                        sink.emit(&ev);
-                    }
-                    return EstablishOutcome::Rejected {
-                        error,
-                        nearest_miss,
-                    };
-                }
+                Ok(p) => plan = p,
+                Err(rejection) => return pipeline.reject(rejection),
             }
         }
     }
@@ -897,6 +608,7 @@ impl<'a> AdmissionQueue<'a> {
 mod tests {
     use super::*;
     use crate::{BrokerRegistry, LocalBroker, LocalBrokerConfig, QosProxy};
+    use qosr_core::Planner;
     use qosr_model::*;
     use std::sync::Arc;
 

@@ -39,6 +39,7 @@ mod error;
 mod fault;
 mod local;
 mod malleable;
+mod pipeline;
 mod proxy;
 mod registry;
 mod request;

@@ -17,13 +17,17 @@
 //!    crashed host, a lost message, or an injected commit failure —
 //!    rolls back *all* prepared segments exactly once.
 //!
-//! Failures injected by the coordinator's [`FaultInjector`] are
-//! absorbed by a bounded [`RetryPolicy`]: each retry re-collects
+//! On a per-request establish ([`Coordinator::establish_request`]),
+//! failures injected by the coordinator's [`FaultInjector`] are absorbed
+//! by the request's bounded [`RetryPolicy`]: each retry re-collects
 //! availability (down hosts report nothing, so planning routes around
 //! them), optionally falling back to the α-tradeoff planner so the
-//! session degrades to a lower QoS level instead of failing hard.
+//! session degrades to a lower QoS level instead of failing hard. An
+//! [`AdmissionQueue`](crate::AdmissionQueue) round retries nothing: a
+//! faulted commit there is final.
 
-use crate::request::{planner_label, EstablishOutcome, NearestMiss, SessionRequest, SpanCollector};
+use crate::pipeline::Pipeline;
+use crate::request::{planner_label, EstablishOutcome, SessionRequest, SpanCollector};
 use crate::{
     BrokerRegistry, EstablishError, FaultError, FaultInjector, ReserveError, RetryPolicy,
     SessionId, SimTime,
@@ -39,6 +43,7 @@ use rand::Rng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// How the coordinator observes resource availability when planning.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -225,11 +230,6 @@ pub struct Coordinator {
     tracer: Arc<Tracer>,
 }
 
-/// Failure of one establishment attempt: the error, the terminal trace
-/// event to emit if the attempt turns out to be the last, and the
-/// planner's nearest miss (for [`EstablishOutcome::Rejected`]).
-type AttemptFailure = (EstablishError, Option<Box<TraceEvent>>, Option<NearestMiss>);
-
 impl Coordinator {
     /// Builds a coordinator over the given per-host proxies, with tracing
     /// disabled ([`NullSink`]).
@@ -387,10 +387,9 @@ impl Coordinator {
             .collect()
     }
 
-    /// The coordinator's pool of planning contexts. Exposed so batched
-    /// admission (and tests) can observe pool growth; most callers never
-    /// touch it.
-    pub fn plan_pool(&self) -> &PlanCtxPool {
+    /// The coordinator's pool of planning contexts, which admission
+    /// rounds check their group contexts out of.
+    pub(crate) fn plan_pool(&self) -> &PlanCtxPool {
         &self.plan_pool
     }
 
@@ -402,7 +401,7 @@ impl Coordinator {
     /// Runs one phase-1 collect and stamps the resulting view with
     /// `epoch` — the shared snapshot a batched admission round plans
     /// against.
-    pub fn epoch_snapshot(
+    pub(crate) fn epoch_snapshot(
         &self,
         epoch: u64,
         now: SimTime,
@@ -442,389 +441,95 @@ impl Coordinator {
             Some(ctx) if self.tracer.enabled() => Some(SpanCollector::new(ctx)),
             _ => None,
         };
-        let (result, first_planned, nearest_miss) = self.establish_core(
-            &request.session,
-            &request.options,
-            request.qos_min,
-            request.deadline,
-            now,
-            rng,
-            collector.as_mut(),
-        );
-        let outcome = match result {
-            Ok(est) => match first_planned {
-                Some(from) if est.plan.rank < from => EstablishOutcome::Degraded {
-                    from,
-                    to: est.plan.rank,
-                    session: est,
-                },
-                _ => EstablishOutcome::Committed(est),
-            },
-            Err(error) => EstablishOutcome::Rejected {
-                error,
-                nearest_miss,
-            },
+        let pipeline = Pipeline::new(self, request, now);
+        let options = &request.options;
+        let mut events = Vec::new();
+        let started = pipeline.start(&mut events);
+        pipeline.flush(&mut events);
+        let outcome = match started {
+            Err(rejection) => pipeline.reject(rejection),
+            Ok(()) => {
+                // The rank the first successful plan reached, for
+                // degraded-commit classification.
+                let mut first_planned = None;
+                let mut attempt = 0u32;
+                loop {
+                    let retry = (attempt > 0).then_some(attempt);
+
+                    // Phase 1: collect availability (one round trip per
+                    // reachable proxy; down hosts report nothing, so the
+                    // planner never places demand on them).
+                    let started = collector.is_some().then(Instant::now);
+                    let view = self.collect(now, options.observation, rng, pipeline.traced);
+                    if let (Some(c), Some(started)) = (collector.as_mut(), started) {
+                        c.record(SpanKind::Collect, started).attempt = retry;
+                    }
+
+                    // Phase 2: local computation at the main QoSProxy, on
+                    // a planning context checked out of the pool.
+                    let planner = match retry {
+                        Some(_) => pipeline.fallback_planner(),
+                        None => options.planner,
+                    };
+                    let started = collector.is_some().then(Instant::now);
+                    let planned = {
+                        let timer = self.timers.span(Phase::Plan);
+                        let mut ctx = self.plan_pool.checkout();
+                        ctx.prepare(&request.session, &view, &options.qrg);
+                        pipeline.plan(&mut ctx, planner, rng, timer, Some(&mut events))
+                    };
+                    pipeline.flush(&mut events);
+                    if let (Some(c), Some(started)) = (collector.as_mut(), started) {
+                        let span = c.record(SpanKind::Plan, started);
+                        span.planner = Some(planner_label(planner).to_string());
+                        span.attempt = retry;
+                        span.psi = planned.as_ref().ok().map(|plan| plan.psi);
+                    }
+
+                    // Phase 3: two-phase reserve/commit across the owning
+                    // proxies.
+                    let rejection = match planned {
+                        Ok(plan) => {
+                            let first = *first_planned.get_or_insert(plan.rank);
+                            let demand = plan.total_demand();
+                            match pipeline.commit(plan, &demand, attempt, collector.as_mut()) {
+                                Ok(est) => break pipeline.classify(est, first),
+                                Err(rejection) => rejection,
+                            }
+                        }
+                        Err(rejection) => rejection,
+                    };
+                    // A QoS floor violated by the *best* feasible plan
+                    // cannot be fixed by retrying (retries only keep or
+                    // lower the rank), so it is terminal immediately.
+                    let floor = matches!(rejection.error, EstablishError::QosBelowMin { .. });
+                    if floor || attempt >= options.retry.max_retries {
+                        break pipeline.reject(rejection);
+                    }
+                    attempt += 1;
+                    self.counters.record_retry();
+                    if let Some(c) = collector.as_mut() {
+                        c.retries += 1;
+                    }
+                    if pipeline.traced {
+                        let policy = &options.retry;
+                        pipeline.emit(&pipeline.event(EventKind::EstablishRetry).with_detail(
+                            format!(
+                                "{}; retry {attempt}/{} after backoff {}",
+                                rejection.error,
+                                policy.max_retries,
+                                policy.backoff_delay(attempt)
+                            ),
+                        ));
+                    }
+                }
+            }
         };
         if let Some(collector) = collector {
             let trace = collector.finish(&outcome, request.session.service().name());
             self.tracer.record(trace, self.sink.as_ref(), now.value());
         }
         outcome
-    }
-
-    /// The establishment engine behind [`Coordinator::establish_request`]:
-    /// per-request collect, plan and dispatch, with retries. The batched
-    /// admission queue runs its own rounds and shares only
-    /// [`Coordinator::dispatch`] with it. Returns the result plus the rank the *first* attempt planned (for
-    /// degraded-commit classification) and, on planning failure, the
-    /// nearest-miss blocking resource.
-    #[allow(clippy::too_many_arguments)]
-    fn establish_core(
-        &self,
-        session: &SessionInstance,
-        options: &EstablishOptions,
-        qos_min: Option<u32>,
-        deadline: Option<SimTime>,
-        now: SimTime,
-        rng: &mut impl Rng,
-        mut collector: Option<&mut SpanCollector>,
-    ) -> (
-        Result<EstablishedSession, EstablishError>,
-        Option<u32>,
-        Option<NearestMiss>,
-    ) {
-        self.counters.record_establish_attempt();
-        self.counters.record_plan_started();
-        let traced = self.sink.enabled();
-        let t = now.value();
-        let service_name = session.service().name();
-        if traced {
-            self.sink
-                .emit(&TraceEvent::new(t, EventKind::PlanStarted).with_service(service_name));
-        }
-
-        if let Some(due) = deadline {
-            if t > due.value() {
-                let err = EstablishError::DeadlineExpired {
-                    deadline: due.value(),
-                    now: t,
-                };
-                self.counters.record_plan_rejected();
-                if traced {
-                    self.sink.emit(
-                        &TraceEvent::new(t, EventKind::PlanRejected)
-                            .with_service(service_name)
-                            .with_detail(err.to_string()),
-                    );
-                }
-                return (Err(err), None, None);
-            }
-        }
-
-        let mut first_planned_rank: Option<u32> = None;
-        let mut attempt = 0u32;
-        loop {
-            match self.establish_attempt(
-                session,
-                options,
-                qos_min,
-                now,
-                rng,
-                attempt,
-                &mut first_planned_rank,
-                traced,
-                collector.as_deref_mut(),
-            ) {
-                Ok(est) => {
-                    if let Some(first) = first_planned_rank {
-                        if est.plan.rank < first {
-                            self.counters.record_degraded_commit();
-                            if traced {
-                                self.sink.emit(
-                                    &TraceEvent::new(t, EventKind::DegradedEstablish)
-                                        .with_session(est.id.0)
-                                        .with_service(service_name)
-                                        .with_level(est.plan.rank)
-                                        .with_detail(format!("first attempt planned rank {first}")),
-                                );
-                            }
-                        }
-                    }
-                    return (Ok(est), first_planned_rank, None);
-                }
-                Err((err, terminal_event, nearest_miss)) => {
-                    // A QoS floor violated by the *best* feasible plan
-                    // cannot be fixed by retrying (retries only keep or
-                    // lower the rank), so it is terminal immediately.
-                    let retryable = !matches!(err, EstablishError::QosBelowMin { .. });
-                    if retryable && attempt < options.retry.max_retries {
-                        attempt += 1;
-                        self.counters.record_retry();
-                        if let Some(c) = collector.as_deref_mut() {
-                            c.retries += 1;
-                        }
-                        if traced {
-                            self.sink.emit(
-                                &TraceEvent::new(t, EventKind::EstablishRetry)
-                                    .with_service(service_name)
-                                    .with_detail(format!(
-                                        "{err}; retry {attempt}/{} after backoff {}",
-                                        options.retry.max_retries,
-                                        options.retry.backoff_delay(attempt)
-                                    )),
-                            );
-                        }
-                        continue;
-                    }
-                    match &err {
-                        EstablishError::Plan(_)
-                        | EstablishError::QosBelowMin { .. }
-                        | EstablishError::DeadlineExpired { .. } => {
-                            self.counters.record_plan_rejected()
-                        }
-                        EstablishError::Reserve(_) => self.counters.record_reservation_rejected(),
-                        EstablishError::Fault(_) => self.counters.record_fault_failure(),
-                    }
-                    if let Some(ev) = terminal_event {
-                        self.sink.emit(&ev);
-                    }
-                    return (Err(err), first_planned_rank, nearest_miss);
-                }
-            }
-        }
-    }
-
-    /// One attempt of the three-phase protocol. On failure, returns the
-    /// error plus the terminal trace event to emit *if* this attempt
-    /// turns out to be the last one (intermediate attempts emit
-    /// [`EventKind::EstablishRetry`] instead, keeping the replayed
-    /// rejection counts equal to the run metrics').
-    #[allow(clippy::too_many_arguments)]
-    fn establish_attempt(
-        &self,
-        session: &SessionInstance,
-        options: &EstablishOptions,
-        qos_min: Option<u32>,
-        now: SimTime,
-        rng: &mut impl Rng,
-        attempt: u32,
-        first_planned_rank: &mut Option<u32>,
-        traced: bool,
-        mut collector: Option<&mut SpanCollector>,
-    ) -> Result<EstablishedSession, AttemptFailure> {
-        let t = now.value();
-        let service_name = session.service().name();
-
-        // Phase 1: collect availability (one round trip per reachable
-        // proxy; down hosts report nothing, so the planner never places
-        // demand on them).
-        let phase_start = collector.is_some().then(std::time::Instant::now);
-        let view = self.collect(now, options.observation, rng, traced);
-        if let (Some(c), Some(started)) = (collector.as_deref_mut(), phase_start) {
-            let span = c.record(SpanKind::Collect, started);
-            if attempt > 0 {
-                span.attempt = Some(attempt);
-            }
-        }
-
-        // Graceful degradation: from the first retry on, plan with the
-        // α-tradeoff policy so resources trending down (α < 1 — typical
-        // right after a crash re-shuffles load) are stepped around.
-        let planner = if attempt > 0
-            && options.retry.tradeoff_fallback
-            && matches!(options.planner, Planner::Basic)
-        {
-            Planner::Tradeoff
-        } else {
-            options.planner
-        };
-
-        // Phase 2: local computation at the main QoSProxy, on a planning
-        // context checked out of the pool (cached skeleton + scratch).
-        // Events are gathered while the context is held and emitted
-        // after.
-        let mut events: Vec<TraceEvent> = Vec::new();
-        let mut hops: Vec<TraceEvent> = Vec::new();
-        let mut reject_event: Option<Box<TraceEvent>> = None;
-        let mut nearest: Option<NearestMiss> = None;
-        let phase_start = collector.is_some().then(std::time::Instant::now);
-        let plan_span = self.timers.span_traced(Phase::Plan, self.sink.as_ref(), t);
-        let (result, downgrade) = {
-            let mut ctx = self.plan_pool.checkout();
-            let result = ctx.plan_session(session, &view, &options.qrg, planner, rng);
-            if result.is_err() {
-                nearest = ctx
-                    .nearest_miss()
-                    .map(|(resource, ratio)| NearestMiss { resource, ratio });
-            }
-            if traced {
-                for c in ctx.candidates() {
-                    let mut ev = TraceEvent::new(t, EventKind::CandidateEvaluated)
-                        .with_pair(c.component, c.qin, c.qout)
-                        .with_feasible(c.feasible)
-                        .with_psi(c.psi);
-                    if let Some(rid) = c.resource {
-                        ev = ev.with_resource(u64::from(rid.0));
-                    }
-                    if let Some(alpha) = c.alpha {
-                        ev = ev.with_alpha(alpha);
-                    }
-                    events.push(ev);
-                }
-                if result.is_err() {
-                    let mut ev = TraceEvent::new(t, EventKind::PlanRejected)
-                        .with_service(service_name)
-                        .with_detail("no feasible end-to-end plan");
-                    if let Some(miss) = nearest {
-                        ev = ev
-                            .with_resource(u64::from(miss.resource.0))
-                            .with_psi(miss.ratio);
-                    }
-                    reject_event = Some(Box::new(ev));
-                }
-                if let Ok(plan) = &result {
-                    for a in &plan.assignments {
-                        let mut ev = TraceEvent::new(t, EventKind::HopSelected).with_pair(
-                            a.component as u32,
-                            a.qin as u32,
-                            a.qout as u32,
-                        );
-                        if let Some(c) = ctx.candidate(a.component, a.qin, a.qout) {
-                            ev = ev.with_psi(c.psi);
-                            if let Some(rid) = c.resource {
-                                ev = ev.with_resource(u64::from(rid.0));
-                            }
-                        }
-                        hops.push(ev);
-                    }
-                }
-            }
-            (result, ctx.last_downgrade())
-        };
-        drop(plan_span);
-        if let (Some(c), Some(started)) = (collector.as_deref_mut(), phase_start) {
-            let span = c.record(SpanKind::Plan, started);
-            span.planner = Some(planner_label(planner).to_string());
-            if attempt > 0 {
-                span.attempt = Some(attempt);
-            }
-            if let Ok(plan) = &result {
-                span.psi = Some(plan.psi);
-            }
-        }
-        if let Some((from, to)) = downgrade {
-            self.counters.record_tradeoff_downgrade();
-            if traced {
-                events.push(
-                    TraceEvent::new(t, EventKind::TradeoffDowngrade)
-                        .with_service(service_name)
-                        .with_level(to)
-                        .with_detail(format!("stepped down from rank {from}")),
-                );
-            }
-        }
-        for ev in &events {
-            self.sink.emit(ev);
-        }
-        let plan = match result {
-            Ok(plan) => plan,
-            Err(e) => return Err((e.into(), reject_event, nearest)),
-        };
-        // Enforce the request's QoS floor between planning and dispatch:
-        // the best feasible plan either clears the floor or the request
-        // is rejected with nothing reserved.
-        if let Some(min) = qos_min {
-            if plan.rank < min {
-                let err = EstablishError::QosBelowMin {
-                    achieved: plan.rank,
-                    min,
-                };
-                let terminal = traced.then(|| {
-                    Box::new(
-                        TraceEvent::new(t, EventKind::PlanRejected)
-                            .with_service(service_name)
-                            .with_level(plan.rank)
-                            .with_detail(err.to_string()),
-                    )
-                });
-                return Err((err, terminal, None));
-            }
-        }
-        if first_planned_rank.is_none() {
-            *first_planned_rank = Some(plan.rank);
-        }
-        self.counters.record_plan_completed();
-        if traced {
-            let mut ev = TraceEvent::new(t, EventKind::PlanCompleted)
-                .with_service(service_name)
-                .with_level(plan.rank)
-                .with_psi(plan.psi);
-            if let Some(b) = &plan.bottleneck {
-                ev = ev
-                    .with_resource(u64::from(b.resource.0))
-                    .with_alpha(b.alpha);
-            }
-            self.sink.emit(&ev);
-            for ev in &hops {
-                self.sink.emit(ev);
-            }
-        }
-
-        // Phase 3: two-phase reserve/commit across the owning proxies,
-        // all-or-nothing with exactly-once rollback.
-        let id = self.alloc_session_id();
-        let phase_start = collector.is_some().then(std::time::Instant::now);
-        let dispatched = self.dispatch(id, &plan.total_demand(), now, traced, true);
-        if let (Some(c), Some(started)) = (collector, phase_start) {
-            let span = c.record(SpanKind::Commit, started);
-            if attempt > 0 {
-                span.attempt = Some(attempt);
-            }
-            if dispatched.is_err() {
-                span.detail = Some("rolled back".to_string());
-            }
-        }
-        if let Err(e) = dispatched {
-            let terminal = if !traced {
-                None
-            } else {
-                match &e {
-                    EstablishError::Reserve(re) => Some(Box::new(
-                        TraceEvent::new(t, EventKind::ReservationRejected)
-                            .with_session(id.0)
-                            .with_service(service_name)
-                            .with_resource(u64::from(re.resource().0))
-                            .with_detail(re.to_string()),
-                    )),
-                    EstablishError::Fault(fe) => Some(Box::new(
-                        TraceEvent::new(t, EventKind::EstablishFaulted)
-                            .with_session(id.0)
-                            .with_service(service_name)
-                            .with_name(fe.host())
-                            .with_detail(fe.to_string()),
-                    )),
-                    _ => None,
-                }
-            };
-            return Err((e, terminal, None));
-        }
-
-        self.counters.record_establishment();
-        self.counters.record_commit(plan.psi);
-        if traced {
-            let mut ev = TraceEvent::new(t, EventKind::ReservationCommitted)
-                .with_session(id.0)
-                .with_service(service_name)
-                .with_level(plan.rank)
-                .with_psi(plan.psi);
-            if let Some(b) = &plan.bottleneck {
-                ev = ev
-                    .with_resource(u64::from(b.resource.0))
-                    .with_alpha(b.alpha);
-            }
-            self.sink.emit(&ev);
-        }
-        Ok(EstablishedSession { id, plan })
     }
 
     /// Phase 1 helper: collect availability from every reachable proxy.

@@ -143,7 +143,11 @@ impl SessionRequest {
         self
     }
 
-    /// Sets the observation accuracy model for phase 1.
+    /// Sets the observation accuracy model for phase 1 of
+    /// [`Coordinator::establish_request`](crate::Coordinator::establish_request).
+    /// An [`AdmissionQueue`](crate::AdmissionQueue) round ignores it: the
+    /// round observes once, under
+    /// [`AdmissionConfig::observation`](crate::AdmissionConfig::observation).
     pub fn observation(mut self, observation: ObservationPolicy) -> Self {
         self.options.observation = observation;
         self
@@ -155,7 +159,13 @@ impl SessionRequest {
         self
     }
 
-    /// Sets the bounded retry/backoff policy.
+    /// Sets the bounded retry/backoff policy
+    /// [`Coordinator::establish_request`](crate::Coordinator::establish_request)
+    /// applies to a failed attempt. An
+    /// [`AdmissionQueue`](crate::AdmissionQueue) round retries nothing and
+    /// honours only [`RetryPolicy::tradeoff_fallback`], as the planner its
+    /// conflict replans use; its replan budget is
+    /// [`AdmissionConfig::max_replans`](crate::AdmissionConfig::max_replans).
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.options.retry = retry;
         self

@@ -471,11 +471,10 @@ fn network_path_rollback_spares_shared_link_holdings() {
     // P2 across a shared link; a failed multi-resource reservation that
     // prepared path P1 (also over the shared link) must roll P1 back
     // without disturbing P2's hold.
-    use qosr_net::{LinkBroker, LinkId, NetworkBroker};
+    use qosr_net::NetworkBroker;
 
     let link = |i: u32, capacity: f64| {
-        Arc::new(LinkBroker::new(
-            LinkId(i as usize),
+        Arc::new(LocalBroker::new(
             ResourceId(i),
             capacity,
             SimTime::ZERO,

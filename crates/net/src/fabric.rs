@@ -1,13 +1,14 @@
 //! Glue: registering link/path resources and caching path brokers.
 
-use crate::{LinkBroker, LinkId, NetNode, NetworkBroker, Topology, TopologyError};
-use qosr_broker::{LocalBrokerConfig, SimTime};
+use crate::{LinkId, NetNode, NetworkBroker, Topology, TopologyError};
+use qosr_broker::{LocalBroker, LocalBrokerConfig, SimTime};
 use qosr_model::{ResourceId, ResourceKind, ResourceSpace};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A deployed network: the topology, one [`LinkBroker`] per link, and a
-/// cache of end-to-end [`NetworkBroker`]s per endpoint pair.
+/// A deployed network: the topology, one [`LocalBroker`] per link (over
+/// its bandwidth, indexed by [`LinkId`]), and a cache of end-to-end
+/// [`NetworkBroker`]s per endpoint pair.
 ///
 /// Link resources are registered in the shared [`ResourceSpace`] as
 /// `L1, L2, …` ([`ResourceKind::NetworkLink`]); end-to-end paths as
@@ -17,7 +18,7 @@ use std::sync::Arc;
 /// reservations over shared-capacity links.
 pub struct NetworkFabric {
     topology: Topology,
-    links: Vec<Arc<LinkBroker>>,
+    links: Vec<Arc<LocalBroker>>,
     paths: HashMap<(NetNode, NetNode), Arc<NetworkBroker>>,
     alpha_window: f64,
 }
@@ -40,13 +41,12 @@ impl NetworkFabric {
             topology.n_links(),
             "one capacity per link required"
         );
-        let links: Vec<Arc<LinkBroker>> = capacities
+        let links: Vec<Arc<LocalBroker>> = capacities
             .iter()
             .enumerate()
             .map(|(i, &cap)| {
-                let id = LinkId(i);
-                let rid = space.register(id.to_string(), ResourceKind::NetworkLink);
-                Arc::new(LinkBroker::new(id, rid, cap, created, config))
+                let rid = space.register(LinkId(i).to_string(), ResourceKind::NetworkLink);
+                Arc::new(LocalBroker::new(rid, cap, created, config))
             })
             .collect();
         NetworkFabric {
@@ -63,12 +63,13 @@ impl NetworkFabric {
     }
 
     /// The per-link broker of `link`.
-    pub fn link_broker(&self, link: LinkId) -> &Arc<LinkBroker> {
+    pub fn link_broker(&self, link: LinkId) -> &Arc<LocalBroker> {
         &self.links[link.0]
     }
 
-    /// All link brokers, in link order.
-    pub fn link_brokers(&self) -> &[Arc<LinkBroker>] {
+    /// All link brokers, in link order (`link_brokers()[l.0]` is link
+    /// `l`'s).
+    pub fn link_brokers(&self) -> &[Arc<LocalBroker>] {
         &self.links
     }
 

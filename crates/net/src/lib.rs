@@ -12,7 +12,9 @@
 //!
 //! * [`Topology`] — hosts, client domains, undirected links, and
 //!   shortest-hop routing;
-//! * [`LinkBroker`] — the lower-level per-link bandwidth broker;
+//! * the lower level: one plain
+//!   [`LocalBroker`](qosr_broker::LocalBroker) per link, over the link's
+//!   bandwidth and indexed by [`LinkId`];
 //! * [`NetworkBroker`] — the higher-level end-to-end path broker
 //!   (min-over-links availability, all-or-nothing reserve with
 //!   rollback);
@@ -24,11 +26,9 @@
 #![warn(missing_docs)]
 
 mod fabric;
-mod link;
 mod path;
 mod topology;
 
 pub use fabric::NetworkFabric;
-pub use link::LinkBroker;
 pub use path::NetworkBroker;
 pub use topology::{LinkId, NetNode, Topology, TopologyError};

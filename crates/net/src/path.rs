@@ -1,8 +1,9 @@
 //! The higher-level, end-to-end network path broker.
 
-use crate::LinkBroker;
 use parking_lot::Mutex;
-use qosr_broker::{AlphaWindow, Broker, BrokerReport, ReserveError, SessionId, SimTime};
+use qosr_broker::{
+    AlphaWindow, Broker, BrokerReport, LocalBroker, ReserveError, SessionId, SimTime,
+};
 use qosr_model::ResourceId;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -25,7 +26,7 @@ use std::sync::Arc;
 /// needing no network reservation.
 pub struct NetworkBroker {
     resource: ResourceId,
-    route: Vec<Arc<LinkBroker>>,
+    route: Vec<Arc<LocalBroker>>,
     state: Mutex<PathState>,
 }
 
@@ -38,7 +39,7 @@ struct PathState {
 
 impl NetworkBroker {
     /// Creates a path broker over `route` (ordered per-link brokers).
-    pub fn new(resource: ResourceId, route: Vec<Arc<LinkBroker>>, alpha_window: f64) -> Self {
+    pub fn new(resource: ResourceId, route: Vec<Arc<LocalBroker>>, alpha_window: f64) -> Self {
         NetworkBroker {
             resource,
             route,
@@ -50,11 +51,11 @@ impl NetworkBroker {
     }
 
     /// The route's per-link brokers, in path order.
-    pub fn route(&self) -> &[Arc<LinkBroker>] {
+    pub fn route(&self) -> &[Arc<LocalBroker>] {
         &self.route
     }
 
-    fn min_over_links(&self, f: impl Fn(&LinkBroker) -> f64) -> f64 {
+    fn min_over_links(&self, f: impl Fn(&LocalBroker) -> f64) -> f64 {
         self.route
             .iter()
             .map(|l| f(l))
@@ -92,7 +93,7 @@ impl Broker for NetworkBroker {
                 amount,
             });
         }
-        let mut done: Vec<&Arc<LinkBroker>> = Vec::with_capacity(self.route.len());
+        let mut done: Vec<&Arc<LocalBroker>> = Vec::with_capacity(self.route.len());
         for link in &self.route {
             match link.reserve(session, amount, now) {
                 Ok(()) => done.push(link),
@@ -162,12 +163,10 @@ impl Broker for NetworkBroker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LinkId;
     use qosr_broker::LocalBrokerConfig;
 
-    fn link(i: u32, capacity: f64) -> Arc<LinkBroker> {
-        Arc::new(LinkBroker::new(
-            LinkId(i as usize),
+    fn link(i: u32, capacity: f64) -> Arc<LocalBroker> {
+        Arc::new(LocalBroker::new(
             ResourceId(i),
             capacity,
             SimTime::ZERO,
@@ -175,7 +174,7 @@ mod tests {
         ))
     }
 
-    fn path(links: &[Arc<LinkBroker>]) -> NetworkBroker {
+    fn path(links: &[Arc<LocalBroker>]) -> NetworkBroker {
         NetworkBroker::new(ResourceId(100), links.to_vec(), 3.0)
     }
 

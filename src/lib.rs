@@ -82,7 +82,7 @@ pub mod prelude {
         ResourceKind, ResourceSpace, ResourceVector, ServiceSpec, SessionInstance, SlotSpec,
         SlotVector, TableTranslation, Translation,
     };
-    pub use qosr_net::{LinkBroker, NetNode, NetworkBroker, NetworkFabric, Topology};
+    pub use qosr_net::{NetNode, NetworkBroker, NetworkFabric, Topology};
     pub use qosr_obs::{
         Counters, EventKind, Histogram, JsonlSink, MemorySink, MetricsRegistry, NullSink, Phase,
         PhaseTimers, PsiHistogram, TraceEvent, TraceSink, TraceSummary,

@@ -13,14 +13,18 @@
 //!   a broker (`ADMISSION_STRESS=1` scales the schedule up — the CI
 //!   concurrent-rounds step runs it under a pinned `RUST_TEST_THREADS`).
 
+#[path = "support/trace_digest.rs"]
+mod trace_digest;
+
 use qosr::broker::LocalBrokerConfig;
-use qosr::obs::{MemorySink, NullSink, TraceSink};
+use qosr::obs::{MemorySink, NullSink, TraceId, TraceSink};
 use qosr::prelude::*;
 use qosr::sim::services::ServiceOptions;
 use qosr::sim::{PaperEnvironment, TopologyVariant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
+use trace_digest::TraceDigest;
 
 fn paper_env(seed: u64, capacity_range: (f64, f64)) -> PaperEnvironment {
     paper_env_traced(seed, capacity_range, Arc::new(NullSink))
@@ -47,7 +51,16 @@ fn paper_env_traced(
 /// batch contends, replans and rejects — and returns one
 /// `(outcome kind, rank, psi bits, session id)` row per request.
 fn admit_contended_batch(env: &PaperEnvironment) -> Vec<(&'static str, u32, u64, u64)> {
-    let requests: Vec<SessionRequest> = (0..20)
+    contended_queue(env)
+        .admit(&contended_requests(env), SimTime::new(1.0))
+        .iter()
+        .map(outcome_row)
+        .collect()
+}
+
+/// The twenty requests of [`admit_contended_batch`].
+fn contended_requests(env: &PaperEnvironment) -> Vec<SessionRequest> {
+    (0..20)
         .map(|i| {
             let request =
                 SessionRequest::new(env.session([0, 1, 3][i % 3], 4 + (i % 2), 5.0).unwrap());
@@ -57,19 +70,18 @@ fn admit_contended_batch(env: &PaperEnvironment) -> Vec<(&'static str, u32, u64,
                 request
             }
         })
-        .collect();
-    let queue = AdmissionQueue::new(
+        .collect()
+}
+
+/// The queue [`admit_contended_batch`] admits through.
+fn contended_queue(env: &PaperEnvironment) -> AdmissionQueue<'_> {
+    AdmissionQueue::new(
         &env.coordinator,
         AdmissionConfig {
             seed: 3,
             ..AdmissionConfig::default()
         },
-    );
-    queue
-        .admit(&requests, SimTime::new(1.0))
-        .iter()
-        .map(outcome_row)
-        .collect()
+    )
 }
 
 /// One [`admit_contended_batch`] row; zeros when rejected.
@@ -203,6 +215,44 @@ fn contended_batch_outcomes_are_pinned() {
             r#""serve_disconnects":0,"advance_booked":0,"advance_repacked":0,"#,
             r#""advance_rejected":0,"psi_buckets":[0,1,3,1,1,0,0,0,1,1,0],"#,
             r#""psi_milli":{"count":8,"sum":3438,"min":177,"max":944,"p50":263,"p90":944,"p99":944}}"#,
+        )
+    );
+}
+
+/// The contended batch on a coordinator whose sink records every event
+/// and whose tracer records every request, recorded before a round's
+/// per-request steps moved into the pipeline it shares with the
+/// sequential establish: per-kind event counts, a hash of every event
+/// with `detail` removed, and a hash of every request's span-tree shape.
+#[test]
+fn contended_batch_traces_are_pinned() {
+    let sink = Arc::new(MemorySink::default());
+    let env = paper_env_traced(7, (250.0, 1000.0), sink.clone());
+    env.coordinator.tracer().set_enabled(true);
+    let requests: Vec<SessionRequest> = contended_requests(&env)
+        .into_iter()
+        .enumerate()
+        .map(|(i, request)| request.traced(TraceId(i as u64)))
+        .collect();
+    let mut rows = Vec::new();
+    let mut traces = Vec::new();
+    contended_queue(&env).admit_traced(&requests, SimTime::new(1.0), |_, outcome, trace| {
+        rows.push(outcome_row(&outcome));
+        traces.push(trace.expect("every request is traced"));
+    });
+    // Tracing changes no outcome.
+    assert_eq!(rows, admit_contended_batch(&paper_env(7, (250.0, 1000.0))));
+    let digest = TraceDigest::new(&sink.events(), &traces);
+    assert_eq!(
+        digest.as_pin(),
+        (
+            concat!(
+                "BatchPlanned=1 CandidateEvaluated=339 CommitConflict=14 DegradedEstablish=2 ",
+                "DeltaRepair=20 HopSelected=60 PlanCompleted=20 PlanRejected=12 PlanStarted=20 ",
+                "Replanned=14 RequestOutcome=20 RequestSpan=96 ReservationCommitted=8",
+            ),
+            0xc873bf6d8041113c,
+            0x9c57f034713ce09d,
         )
     );
 }

@@ -9,7 +9,7 @@ use qosr::broker::{
     AlphaWindow, Broker, BrokerRegistry, LocalBroker, LocalBrokerConfig, SessionId, SimTime,
 };
 use qosr::model::{ResourceId, ResourceVector};
-use qosr::net::{LinkBroker, NetworkBroker};
+use qosr::net::NetworkBroker;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -100,12 +100,11 @@ proptest! {
         capacities in prop::collection::vec(20.0f64..120.0, 1..4),
         ops in prop::collection::vec(report_op_strategy(), 1..60),
     ) {
-        let links: Vec<Arc<LinkBroker>> = capacities
+        let links: Vec<Arc<LocalBroker>> = capacities
             .iter()
             .enumerate()
-            .map(|(i, &cap)| Arc::new(LinkBroker::new(
-                qosr::net::LinkId(i), ResourceId(i as u32), cap,
-                SimTime::ZERO, LocalBrokerConfig::default(),
+            .map(|(i, &cap)| Arc::new(LocalBroker::new(
+                ResourceId(i as u32), cap, SimTime::ZERO, LocalBrokerConfig::default(),
             )))
             .collect();
         let path = NetworkBroker::new(ResourceId(99), links, 3.0);
@@ -250,12 +249,11 @@ proptest! {
         capacities in prop::collection::vec(20.0f64..120.0, 1..5),
         amounts in prop::collection::vec(1.0f64..100.0, 1..8),
     ) {
-        let links: Vec<Arc<LinkBroker>> = capacities
+        let links: Vec<Arc<LocalBroker>> = capacities
             .iter()
             .enumerate()
-            .map(|(i, &cap)| Arc::new(LinkBroker::new(
-                qosr::net::LinkId(i), ResourceId(i as u32), cap,
-                SimTime::ZERO, LocalBrokerConfig::default(),
+            .map(|(i, &cap)| Arc::new(LocalBroker::new(
+                ResourceId(i as u32), cap, SimTime::ZERO, LocalBrokerConfig::default(),
             )))
             .collect();
         let path = NetworkBroker::new(ResourceId(99), links.clone(), 3.0);

@@ -1,11 +1,20 @@
 //! Observability integration tests: exact event sequences for known
-//! session lifecycles, JSONL round-trips, and — the acceptance bar —
-//! `TraceSummary` reproducing the simulator's `RunMetrics` exactly.
+//! session lifecycles, JSONL round-trips, `TraceSummary` reproducing the
+//! simulator's `RunMetrics` exactly, and the sequential establish's
+//! event streams and span trees pinned as literals.
 
+#[path = "support/trace_digest.rs"]
+mod trace_digest;
+
+use qosr::broker::{EstablishedSession, LocalBrokerConfig, ObservationPolicy};
+use qosr::obs::TraceId;
 use qosr::prelude::*;
+use qosr::sim::services::ServiceOptions;
+use qosr::sim::{PaperEnvironment, TopologyVariant};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
+use trace_digest::TraceDigest;
 
 /// One host, one CPU of capacity 100, one component offering two output
 /// levels with CPU demands `low` / `high` (ranks 1 and 2).
@@ -479,4 +488,153 @@ fn batched_admission_phase_timings_replay_exactly() {
     // The queue-depth gauges were sampled during the run.
     assert!(registry.gauge("admission_in_flight", None).is_some());
     assert!(registry.gauge("admission_last_batch", None).is_some());
+}
+
+/// How a pinned sequential run observes availability and what it
+/// injects: the three modes `tests/establish_cost.rs` pins outcomes for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mode {
+    Accurate,
+    Stale,
+    Faults,
+}
+
+/// `tests/establish_cost.rs`'s pinned drive (world seed 7, capacities
+/// 200–800, 48 arrivals half a TU apart, basic and tradeoff planners
+/// alternating, departures after their holding time) on a coordinator
+/// whose sink records every event and whose tracer records every
+/// request.
+fn traced_sequential_run(mode: Mode, seed: u64) -> TraceDigest {
+    let sink = Arc::new(MemorySink::default());
+    let env = PaperEnvironment::build_with_topology_traced(
+        &mut StdRng::seed_from_u64(7),
+        &ServiceOptions::default(),
+        (200.0, 800.0),
+        LocalBrokerConfig::default(),
+        TopologyVariant::FullMesh,
+        sink.clone(),
+    );
+    env.coordinator.tracer().set_enabled(true);
+    let pairs: Vec<(usize, usize)> = (0..8)
+        .flat_map(|domain| {
+            (0..4)
+                .filter(move |&service| service != domain / 2)
+                .map(move |service| (service, domain))
+        })
+        .collect();
+    let mut draws = StdRng::seed_from_u64(seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+    let (observation, retry) = match mode {
+        Mode::Accurate => (ObservationPolicy::Accurate, RetryPolicy::default()),
+        Mode::Stale => (
+            ObservationPolicy::Stale { max_age: 2.0 },
+            RetryPolicy::default(),
+        ),
+        Mode::Faults => {
+            env.coordinator.faults().configure(seed, 0.05, 0.05);
+            let retry = RetryPolicy {
+                max_retries: 2,
+                backoff_base: 0.25,
+                tradeoff_fallback: true,
+            };
+            (ObservationPolicy::Accurate, retry)
+        }
+    };
+    let crashed = env.coordinator.proxies()[1].host().to_string();
+    let arrivals = 48;
+
+    let mut live: Vec<(f64, EstablishedSession)> = Vec::new();
+    for i in 0..arrivals {
+        let now = i as f64 * 0.5;
+        live.retain(|(due, est)| {
+            let keep = *due > now;
+            if !keep {
+                env.coordinator.terminate(est, SimTime::new(now));
+            }
+            keep
+        });
+        if mode == Mode::Faults && i == arrivals / 3 {
+            env.coordinator.crash_host(&crashed, SimTime::new(now));
+        }
+        if mode == Mode::Faults && i == arrivals / 2 {
+            env.coordinator.recover_host(&crashed, SimTime::new(now));
+        }
+        let (service, domain) = pairs[draws.random_range(0..pairs.len())];
+        let scale = [1.0, 1.0, 3.0, 6.0][draws.random_range(0..4usize)];
+        let hold = draws.random_range(5.0..40.0);
+        let planner = if i % 2 == 0 {
+            Planner::Basic
+        } else {
+            Planner::Tradeoff
+        };
+        let request = SessionRequest::new(env.session(service, domain, scale).unwrap())
+            .planner(planner)
+            .observation(observation)
+            .retry(retry)
+            .traced(TraceId(i as u64));
+        let outcome = env
+            .coordinator
+            .establish_request(&request, SimTime::new(now), &mut rng);
+        if let Some(est) = outcome.into_session() {
+            live.push((now + hold, est));
+        }
+    }
+    let traces = env.coordinator.tracer().flight().dump();
+    assert_eq!(traces.len(), arrivals, "every request leaves a trace");
+    TraceDigest::new(&sink.events(), &traces)
+}
+
+/// The sequential establish's event stream and span trees, recorded
+/// before its per-attempt steps moved into the pipeline it shares with
+/// admission rounds: per-kind event counts, a hash of every event with
+/// `detail` removed, and a hash of every request's span-tree shape.
+#[test]
+fn sequential_establish_traces_are_pinned() {
+    let pins: [(Mode, u64, (&str, u64, u64)); 3] = [
+        (
+            Mode::Accurate,
+            11,
+            (
+                concat!(
+                    "CandidateEvaluated=792 HopSelected=123 PlanCompleted=41 PlanRejected=7 ",
+                    "PlanStarted=48 RequestOutcome=48 RequestSpan=185 ReservationCommitted=41 ",
+                    "SessionReleased=9 TradeoffDowngrade=8",
+                ),
+                0x2b27db4f58a4a1ea,
+                0x31b03259bb270b7a,
+            ),
+        ),
+        (
+            Mode::Stale,
+            12,
+            (
+                concat!(
+                    "CandidateEvaluated=786 HopSelected=126 PlanCompleted=42 PlanRejected=6 ",
+                    "PlanStarted=48 RequestOutcome=48 RequestSpan=186 ReservationCommitted=42 ",
+                    "SessionReleased=12 TradeoffDowngrade=16",
+                ),
+                0x304928872f9bc285,
+                0x77e368175584d2aa,
+            ),
+        ),
+        (
+            Mode::Faults,
+            13,
+            (
+                concat!(
+                    "CandidateEvaluated=1545 DegradedEstablish=1 EstablishRetry=47 ",
+                    "EstablishRollback=10 FaultInjected=30 HopSelected=135 HostRecovered=1 ",
+                    "PlanCompleted=45 PlanRejected=16 PlanStarted=48 RequestOutcome=48 ",
+                    "RequestSpan=283 ReservationCommitted=32 SessionReleased=6 ",
+                    "TradeoffDowngrade=12",
+                ),
+                0xe5aa8fb892e5fc95,
+                0xf0376ff0ba3d57b1,
+            ),
+        ),
+    ];
+    for (mode, seed, pin) in pins {
+        let digest = traced_sequential_run(mode, seed);
+        assert_eq!(digest.as_pin(), pin, "{mode:?}");
+    }
 }

@@ -109,12 +109,12 @@ fn drain_restores_every_resource() {
             "{variant:?} leaked reservations"
         );
         // …and so are the underlying links.
-        for l in env.fabric.link_brokers() {
+        for (i, l) in env.fabric.link_brokers().iter().enumerate() {
             assert_eq!(
                 l.available(),
                 l.capacity(),
                 "{variant:?} leaked on {:?}",
-                l.link()
+                qosr::net::LinkId(i)
             );
         }
     }
