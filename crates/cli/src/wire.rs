@@ -23,7 +23,7 @@
 //! `Ok(None)` (the peer hung up politely).
 
 use qosr_broker::{AdvanceOutcome, EstablishOutcome, SessionId};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -95,7 +95,7 @@ fn write_raw<W: Write + ?Sized>(w: &mut W, bytes: &[u8]) -> Result<(), WireError
 /// [`write_frame`] specialised to [`RequestFrame`], formatting the
 /// plain establish shape (no QoS floor, deadline, or planner override)
 /// directly instead of via a value tree. Output is byte-identical to
-/// the generic path — a property test holds the two together.
+/// the derived encoder, the oracle a property test holds it to.
 pub fn write_request_frame<W: Write + ?Sized>(
     w: &mut W,
     frame: &RequestFrame,
@@ -442,37 +442,37 @@ pub fn read_response_frame<R: Read + ?Sized>(
 /// from its own world (`service`/`domain` indices into the serve
 /// world's roster), so clients never ship a full `SessionInstance`.
 ///
-/// `Serialize` is manual: fields at their default (`service`/`domain`
-/// 0, `scale` 1, absent options) are omitted from the wire form — the
-/// decode side fills them back in, and the hot path (one establish
-/// per load-generator request) shrinks to a ~20-byte payload.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+/// Fields at their default (`service`/`domain` 0, `scale` 1, absent
+/// options) are omitted from the wire form — the decode side fills them
+/// back in, and the hot path (one establish per load-generator request)
+/// shrinks to a ~20-byte payload.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EstablishDef {
     /// Client-chosen correlation id, echoed on the outcome frame.
     pub id: u64,
     /// Service index in the server's world (0 on the bench world).
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub service: usize,
     /// Client domain index (0 on the bench world).
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub domain: usize,
     /// Demand scale ("fat" factor), default 1.
-    #[serde(default = "default_scale")]
+    #[serde(default = "default_scale", skip_serializing_if = "is_one")]
     pub scale: f64,
     /// Optional QoS floor (1-based rank).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub qos_min: Option<u32>,
     /// Optional admission deadline in server sim-time.
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub deadline: Option<f64>,
     /// Planner override: `basic`, `tradeoff`, `random`, or `dag`
     /// (default `basic`).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub planner: Option<String>,
     /// Client-minted trace id: when present (and the server traces),
     /// the admission records a span tree under this id and the outcome
     /// frame echoes it with per-phase latency attribution.
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub trace: Option<u64>,
 }
 
@@ -480,32 +480,12 @@ fn default_scale() -> f64 {
     1.0
 }
 
-impl Serialize for EstablishDef {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![("id".to_owned(), self.id.to_value())];
-        if self.service != 0 {
-            fields.push(("service".to_owned(), self.service.to_value()));
-        }
-        if self.domain != 0 {
-            fields.push(("domain".to_owned(), self.domain.to_value()));
-        }
-        if self.scale != 1.0 {
-            fields.push(("scale".to_owned(), self.scale.to_value()));
-        }
-        if let Some(q) = self.qos_min {
-            fields.push(("qos_min".to_owned(), q.to_value()));
-        }
-        if let Some(d) = self.deadline {
-            fields.push(("deadline".to_owned(), d.to_value()));
-        }
-        if let Some(p) = &self.planner {
-            fields.push(("planner".to_owned(), p.to_value()));
-        }
-        if let Some(t) = self.trace {
-            fields.push(("trace".to_owned(), t.to_value()));
-        }
-        Value::Object(fields)
-    }
+fn is_one(scale: &f64) -> bool {
+    *scale == 1.0
+}
+
+fn is_zero(index: &usize) -> bool {
+    *index == 0
 }
 
 impl EstablishDef {
@@ -530,49 +510,49 @@ impl EstablishDef {
 /// before a deadline — the server picks start, duration, and rate).
 /// Exactly one of the two field groups must be present.
 ///
-/// `Serialize` is manual: absent options and a default `preempt` are
-/// omitted from the wire form, mirroring [`EstablishDef`].
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+/// Absent options and a default `preempt` are omitted from the wire
+/// form, mirroring [`EstablishDef`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdvanceDef {
     /// Client-chosen correlation id, echoed on the outcome frame.
     pub id: u64,
     /// Rigid: per-resource demand as `[resource, amount]` pairs.
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub demand: Option<Vec<(u64, f64)>>,
     /// Rigid: window start, in server sim-time.
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub from: Option<f64>,
     /// Rigid: window end (exclusive), in server sim-time.
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub to: Option<f64>,
     /// Malleable: the resource the volume moves over.
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub resource: Option<u64>,
     /// Malleable: total volume to move (amount × time units).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub volume: Option<f64>,
     /// Malleable: completion deadline, in server sim-time.
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub deadline: Option<f64>,
     /// Malleable: earliest admissible start (default: now).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub earliest: Option<f64>,
     /// Malleable: lowest useful transfer rate (default 0).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub min_rate: Option<f64>,
     /// Malleable: transfer-rate cap (default unbounded).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub max_rate: Option<f64>,
     /// Rigid: allow preempting malleable sessions to make room.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "std::ops::Not::not")]
     pub preempt: bool,
     /// Start-vs-contention policy: `ignore` (default) or `tradeoff`.
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub policy: Option<String>,
     /// Client-minted trace id: asks the server to assemble this
     /// booking's span tree into its flight ring (mirrors
     /// [`EstablishDef::trace`]).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub trace: Option<u64>,
 }
 
@@ -616,51 +596,9 @@ impl AdvanceDef {
     }
 }
 
-impl Serialize for AdvanceDef {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![("id".to_owned(), self.id.to_value())];
-        if let Some(d) = &self.demand {
-            fields.push(("demand".to_owned(), d.to_value()));
-        }
-        if let Some(f) = self.from {
-            fields.push(("from".to_owned(), f.to_value()));
-        }
-        if let Some(t) = self.to {
-            fields.push(("to".to_owned(), t.to_value()));
-        }
-        if let Some(r) = self.resource {
-            fields.push(("resource".to_owned(), r.to_value()));
-        }
-        if let Some(v) = self.volume {
-            fields.push(("volume".to_owned(), v.to_value()));
-        }
-        if let Some(d) = self.deadline {
-            fields.push(("deadline".to_owned(), d.to_value()));
-        }
-        if let Some(e) = self.earliest {
-            fields.push(("earliest".to_owned(), e.to_value()));
-        }
-        if let Some(r) = self.min_rate {
-            fields.push(("min_rate".to_owned(), r.to_value()));
-        }
-        if let Some(r) = self.max_rate {
-            fields.push(("max_rate".to_owned(), r.to_value()));
-        }
-        if self.preempt {
-            fields.push(("preempt".to_owned(), true.to_value()));
-        }
-        if let Some(p) = &self.policy {
-            fields.push(("policy".to_owned(), p.to_value()));
-        }
-        if let Some(t) = self.trace {
-            fields.push(("trace".to_owned(), t.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
 /// A client→server frame.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum RequestFrame {
     /// Admit one session; the server may coalesce consecutive
     /// establishes from any connection into one admission round.
@@ -728,7 +666,8 @@ pub enum RequestFrame {
 }
 
 /// A server→client frame.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum ResponseFrame {
     /// The structured result of one establish.
     Outcome(OutcomeFrame),
@@ -799,120 +738,65 @@ pub enum ResponseFrame {
 
 /// The wire form of one [`EstablishOutcome`], flattened to scalars.
 ///
-/// `Serialize` is manual: `None` fields are omitted rather than sent
-/// as `null` — a committed outcome (the overwhelmingly common frame
-/// under load) carries five fields instead of ten.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+/// `None` fields are omitted rather than sent as `null` — a committed
+/// outcome (the overwhelmingly common frame under load) carries five
+/// fields instead of ten.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OutcomeFrame {
     /// Correlation id of the establish request.
     pub id: u64,
     /// `committed`, `degraded`, or `rejected`.
     pub status: String,
     /// The admitted session id (absent when rejected).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub session: Option<u64>,
     /// Committed end-to-end rank (absent when rejected).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub rank: Option<u32>,
     /// Committed bottleneck Ψ (absent when rejected).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub psi: Option<f64>,
     /// First-planned rank (degraded outcomes only).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub from: Option<u32>,
     /// Committed rank after degradation (degraded outcomes only).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub to: Option<u32>,
     /// The rejection error, rendered (rejected outcomes only).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub error: Option<String>,
     /// The nearest-miss blocking resource id (some rejections).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub miss_resource: Option<u64>,
     /// The nearest-miss `req/avail` overshoot ratio (some rejections).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub miss_ratio: Option<f64>,
     /// Echo of the request's trace id (traced establishes only; the
     /// remaining `*_ns` attribution fields ride along with it).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub trace: Option<u64>,
     /// Server-side queue residual: socket read, gather-window wait,
     /// scheduling — everything before the admission round touched the
     /// request.
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub queue_ns: Option<u64>,
     /// Phase-1 availability collection time.
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub collect_ns: Option<u64>,
     /// Pass-II planning time (including replans' nested plans).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub plan_ns: Option<u64>,
     /// Conflict-replan time (zero when the commit was clean).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub replan_ns: Option<u64>,
     /// Two-phase reserve/commit dispatch time.
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub commit_ns: Option<u64>,
     /// End-to-end server-side latency, ingress to outcome. The root
     /// span durations (`queue/collect/plan/replan/commit`) sum to
     /// exactly this.
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub total_ns: Option<u64>,
-}
-
-impl Serialize for OutcomeFrame {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("id".to_owned(), self.id.to_value()),
-            ("status".to_owned(), self.status.to_value()),
-        ];
-        if let Some(s) = self.session {
-            fields.push(("session".to_owned(), s.to_value()));
-        }
-        if let Some(r) = self.rank {
-            fields.push(("rank".to_owned(), r.to_value()));
-        }
-        if let Some(p) = self.psi {
-            fields.push(("psi".to_owned(), p.to_value()));
-        }
-        if let Some(f) = self.from {
-            fields.push(("from".to_owned(), f.to_value()));
-        }
-        if let Some(t) = self.to {
-            fields.push(("to".to_owned(), t.to_value()));
-        }
-        if let Some(e) = &self.error {
-            fields.push(("error".to_owned(), e.to_value()));
-        }
-        if let Some(m) = self.miss_resource {
-            fields.push(("miss_resource".to_owned(), m.to_value()));
-        }
-        if let Some(m) = self.miss_ratio {
-            fields.push(("miss_ratio".to_owned(), m.to_value()));
-        }
-        if let Some(t) = self.trace {
-            fields.push(("trace".to_owned(), t.to_value()));
-        }
-        if let Some(n) = self.queue_ns {
-            fields.push(("queue_ns".to_owned(), n.to_value()));
-        }
-        if let Some(n) = self.collect_ns {
-            fields.push(("collect_ns".to_owned(), n.to_value()));
-        }
-        if let Some(n) = self.plan_ns {
-            fields.push(("plan_ns".to_owned(), n.to_value()));
-        }
-        if let Some(n) = self.replan_ns {
-            fields.push(("replan_ns".to_owned(), n.to_value()));
-        }
-        if let Some(n) = self.commit_ns {
-            fields.push(("commit_ns".to_owned(), n.to_value()));
-        }
-        if let Some(n) = self.total_ns {
-            fields.push(("total_ns".to_owned(), n.to_value()));
-        }
-        Value::Object(fields)
-    }
 }
 
 impl OutcomeFrame {
@@ -1003,9 +887,9 @@ impl OutcomeFrame {
 
 /// The wire form of one [`AdvanceOutcome`], flattened to scalars.
 ///
-/// `Serialize` is manual: `None` fields are omitted rather than sent
-/// as `null`, mirroring [`OutcomeFrame`].
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+/// `None` fields are omitted rather than sent as `null`, mirroring
+/// [`OutcomeFrame`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdvanceOutcomeFrame {
     /// Correlation id of the advance request.
     pub id: u64,
@@ -1013,70 +897,33 @@ pub struct AdvanceOutcomeFrame {
     pub status: String,
     /// The advance session id (absent when rejected) — the handle a
     /// later `advance_cancel` frame names.
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub session: Option<u64>,
     /// When the booked plan starts (absent when rejected).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub start: Option<f64>,
     /// When the booked plan completes (absent when rejected).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub end: Option<f64>,
     /// Total volume booked (absent when rejected).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub volume: Option<f64>,
     /// The plan's contention share ψ (absent when rejected).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub psi: Option<f64>,
     /// Constant-rate pieces in the plan (absent when rejected).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub segments: Option<u64>,
     /// Malleable sessions moved to make room (repacked outcomes only).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub moved: Option<Vec<u64>>,
     /// The rejection error, rendered (rejected outcomes only).
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub error: Option<String>,
     /// For rejected malleable requests: the earliest deadline under
     /// which the same transfer would fit today, when one exists.
-    #[serde(default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub nearest_deadline: Option<f64>,
-}
-
-impl Serialize for AdvanceOutcomeFrame {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("id".to_owned(), self.id.to_value()),
-            ("status".to_owned(), self.status.to_value()),
-        ];
-        if let Some(s) = self.session {
-            fields.push(("session".to_owned(), s.to_value()));
-        }
-        if let Some(s) = self.start {
-            fields.push(("start".to_owned(), s.to_value()));
-        }
-        if let Some(e) = self.end {
-            fields.push(("end".to_owned(), e.to_value()));
-        }
-        if let Some(v) = self.volume {
-            fields.push(("volume".to_owned(), v.to_value()));
-        }
-        if let Some(p) = self.psi {
-            fields.push(("psi".to_owned(), p.to_value()));
-        }
-        if let Some(s) = self.segments {
-            fields.push(("segments".to_owned(), s.to_value()));
-        }
-        if let Some(m) = &self.moved {
-            fields.push(("moved".to_owned(), m.to_value()));
-        }
-        if let Some(e) = &self.error {
-            fields.push(("error".to_owned(), e.to_value()));
-        }
-        if let Some(n) = self.nearest_deadline {
-            fields.push(("nearest_deadline".to_owned(), n.to_value()));
-        }
-        Value::Object(fields)
-    }
 }
 
 impl AdvanceOutcomeFrame {
@@ -1178,332 +1025,6 @@ pub struct SloFrame {
     pub id: u64,
     /// Per-target observed values and burn rates over both windows.
     pub report: qosr_obs::SloReport,
-}
-
-/// Wraps `body` in the externally-tagged single-key object form.
-fn tagged(key: &str, body: Value) -> Value {
-    Value::Object(vec![(key.to_owned(), body)])
-}
-
-/// Splits a tagged value back into `(kind, body)`.
-fn untag<'a>(v: &'a Value, what: &str, known: &str) -> Result<(&'a str, &'a Value), DeError> {
-    let fields = v
-        .as_object()
-        .ok_or_else(|| DeError::custom(format!("expected a {what} object, got {}", v.kind())))?;
-    if fields.len() != 1 {
-        return Err(DeError::custom(format!(
-            "a {what} must be a single-key object naming its kind (one of {known}), got {} keys",
-            fields.len()
-        )));
-    }
-    let (key, body) = &fields[0];
-    Ok((key.as_str(), body))
-}
-
-const REQUEST_KINDS: &str = "establish, batch, advance, advance_cancel, terminate, renegotiate, \
-     stats, flight, slo, ping, shutdown";
-const RESPONSE_KINDS: &str = "outcome, advance, advance_cancelled, terminated, renegotiated, \
-     stats, flight, slo, pong, error, bye";
-
-#[derive(Serialize, Deserialize)]
-struct BatchDef {
-    #[serde(default)]
-    now: Option<f64>,
-    requests: Vec<EstablishDef>,
-}
-
-#[derive(Serialize, Deserialize)]
-struct SessionRef {
-    id: u64,
-    session: u64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct IdRef {
-    id: u64,
-}
-
-impl Serialize for RequestFrame {
-    fn to_value(&self) -> Value {
-        match self {
-            RequestFrame::Establish(def) => tagged("establish", def.to_value()),
-            RequestFrame::Batch { now, requests } => tagged(
-                "batch",
-                BatchDef {
-                    now: *now,
-                    requests: requests.clone(),
-                }
-                .to_value(),
-            ),
-            RequestFrame::Advance(def) => tagged("advance", def.to_value()),
-            RequestFrame::AdvanceCancel { id, session } => tagged(
-                "advance_cancel",
-                SessionRef {
-                    id: *id,
-                    session: *session,
-                }
-                .to_value(),
-            ),
-            RequestFrame::Terminate { id, session } => tagged(
-                "terminate",
-                SessionRef {
-                    id: *id,
-                    session: *session,
-                }
-                .to_value(),
-            ),
-            RequestFrame::Renegotiate { id, session } => tagged(
-                "renegotiate",
-                SessionRef {
-                    id: *id,
-                    session: *session,
-                }
-                .to_value(),
-            ),
-            RequestFrame::Stats { id } => tagged("stats", IdRef { id: *id }.to_value()),
-            RequestFrame::Flight { id } => tagged("flight", IdRef { id: *id }.to_value()),
-            RequestFrame::Slo { id } => tagged("slo", IdRef { id: *id }.to_value()),
-            RequestFrame::Ping { id } => tagged("ping", IdRef { id: *id }.to_value()),
-            RequestFrame::Shutdown => tagged("shutdown", Value::Object(Vec::new())),
-        }
-    }
-}
-
-impl Deserialize for RequestFrame {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let (key, body) = untag(v, "request frame", REQUEST_KINDS)?;
-        let in_key = |e: DeError| e.in_field(key);
-        match key {
-            "establish" => Ok(RequestFrame::Establish(
-                EstablishDef::from_value(body).map_err(in_key)?,
-            )),
-            "batch" => {
-                let d = BatchDef::from_value(body).map_err(in_key)?;
-                Ok(RequestFrame::Batch {
-                    now: d.now,
-                    requests: d.requests,
-                })
-            }
-            "advance" => Ok(RequestFrame::Advance(
-                AdvanceDef::from_value(body).map_err(in_key)?,
-            )),
-            "advance_cancel" => {
-                let d = SessionRef::from_value(body).map_err(in_key)?;
-                Ok(RequestFrame::AdvanceCancel {
-                    id: d.id,
-                    session: d.session,
-                })
-            }
-            "terminate" => {
-                let d = SessionRef::from_value(body).map_err(in_key)?;
-                Ok(RequestFrame::Terminate {
-                    id: d.id,
-                    session: d.session,
-                })
-            }
-            "renegotiate" => {
-                let d = SessionRef::from_value(body).map_err(in_key)?;
-                Ok(RequestFrame::Renegotiate {
-                    id: d.id,
-                    session: d.session,
-                })
-            }
-            "stats" => {
-                let d = IdRef::from_value(body).map_err(in_key)?;
-                Ok(RequestFrame::Stats { id: d.id })
-            }
-            "flight" => {
-                let d = IdRef::from_value(body).map_err(in_key)?;
-                Ok(RequestFrame::Flight { id: d.id })
-            }
-            "slo" => {
-                let d = IdRef::from_value(body).map_err(in_key)?;
-                Ok(RequestFrame::Slo { id: d.id })
-            }
-            "ping" => {
-                let d = IdRef::from_value(body).map_err(in_key)?;
-                Ok(RequestFrame::Ping { id: d.id })
-            }
-            "shutdown" => Ok(RequestFrame::Shutdown),
-            other => Err(DeError::custom(format!(
-                "unknown request frame `{other}` (expected one of {REQUEST_KINDS})"
-            ))),
-        }
-    }
-}
-
-#[derive(Serialize, Deserialize)]
-struct AdvanceCancelledDef {
-    id: u64,
-    session: u64,
-    released_volume: f64,
-    bookings_removed: u64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct TerminatedDef {
-    id: u64,
-    session: u64,
-    released: f64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct RenegotiatedDef {
-    id: u64,
-    session: u64,
-    rank: u32,
-    psi: f64,
-    upgraded: bool,
-}
-
-#[derive(Serialize, Deserialize)]
-struct ErrorDef {
-    #[serde(default)]
-    id: Option<u64>,
-    message: String,
-}
-
-#[derive(Serialize, Deserialize)]
-struct ByeDef {
-    drained: u64,
-}
-
-impl Serialize for ResponseFrame {
-    fn to_value(&self) -> Value {
-        match self {
-            ResponseFrame::Outcome(frame) => tagged("outcome", frame.to_value()),
-            ResponseFrame::Advance(frame) => tagged("advance", frame.to_value()),
-            ResponseFrame::AdvanceCancelled {
-                id,
-                session,
-                released_volume,
-                bookings_removed,
-            } => tagged(
-                "advance_cancelled",
-                AdvanceCancelledDef {
-                    id: *id,
-                    session: *session,
-                    released_volume: *released_volume,
-                    bookings_removed: *bookings_removed,
-                }
-                .to_value(),
-            ),
-            ResponseFrame::Terminated {
-                id,
-                session,
-                released,
-            } => tagged(
-                "terminated",
-                TerminatedDef {
-                    id: *id,
-                    session: *session,
-                    released: *released,
-                }
-                .to_value(),
-            ),
-            ResponseFrame::Renegotiated {
-                id,
-                session,
-                rank,
-                psi,
-                upgraded,
-            } => tagged(
-                "renegotiated",
-                RenegotiatedDef {
-                    id: *id,
-                    session: *session,
-                    rank: *rank,
-                    psi: *psi,
-                    upgraded: *upgraded,
-                }
-                .to_value(),
-            ),
-            ResponseFrame::Stats(frame) => tagged("stats", frame.to_value()),
-            ResponseFrame::Flight(frame) => tagged("flight", frame.to_value()),
-            ResponseFrame::Slo(frame) => tagged("slo", frame.to_value()),
-            ResponseFrame::Pong { id } => tagged("pong", IdRef { id: *id }.to_value()),
-            ResponseFrame::Error { id, message } => tagged(
-                "error",
-                ErrorDef {
-                    id: *id,
-                    message: message.clone(),
-                }
-                .to_value(),
-            ),
-            ResponseFrame::Bye { drained } => {
-                tagged("bye", ByeDef { drained: *drained }.to_value())
-            }
-        }
-    }
-}
-
-impl Deserialize for ResponseFrame {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let (key, body) = untag(v, "response frame", RESPONSE_KINDS)?;
-        let in_key = |e: DeError| e.in_field(key);
-        match key {
-            "outcome" => Ok(ResponseFrame::Outcome(
-                OutcomeFrame::from_value(body).map_err(in_key)?,
-            )),
-            "advance" => Ok(ResponseFrame::Advance(
-                AdvanceOutcomeFrame::from_value(body).map_err(in_key)?,
-            )),
-            "advance_cancelled" => {
-                let d = AdvanceCancelledDef::from_value(body).map_err(in_key)?;
-                Ok(ResponseFrame::AdvanceCancelled {
-                    id: d.id,
-                    session: d.session,
-                    released_volume: d.released_volume,
-                    bookings_removed: d.bookings_removed,
-                })
-            }
-            "terminated" => {
-                let d = TerminatedDef::from_value(body).map_err(in_key)?;
-                Ok(ResponseFrame::Terminated {
-                    id: d.id,
-                    session: d.session,
-                    released: d.released,
-                })
-            }
-            "renegotiated" => {
-                let d = RenegotiatedDef::from_value(body).map_err(in_key)?;
-                Ok(ResponseFrame::Renegotiated {
-                    id: d.id,
-                    session: d.session,
-                    rank: d.rank,
-                    psi: d.psi,
-                    upgraded: d.upgraded,
-                })
-            }
-            "stats" => Ok(ResponseFrame::Stats(
-                StatsFrame::from_value(body).map_err(in_key)?,
-            )),
-            "flight" => Ok(ResponseFrame::Flight(
-                FlightFrame::from_value(body).map_err(in_key)?,
-            )),
-            "slo" => Ok(ResponseFrame::Slo(
-                SloFrame::from_value(body).map_err(in_key)?,
-            )),
-            "pong" => {
-                let d = IdRef::from_value(body).map_err(in_key)?;
-                Ok(ResponseFrame::Pong { id: d.id })
-            }
-            "error" => {
-                let d = ErrorDef::from_value(body).map_err(in_key)?;
-                Ok(ResponseFrame::Error {
-                    id: d.id,
-                    message: d.message,
-                })
-            }
-            "bye" => {
-                let d = ByeDef::from_value(body).map_err(in_key)?;
-                Ok(ResponseFrame::Bye { drained: d.drained })
-            }
-            other => Err(DeError::custom(format!(
-                "unknown response frame `{other}` (expected one of {RESPONSE_KINDS})"
-            ))),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -694,11 +694,6 @@ impl PlanCtx {
         self.cache.config = config;
     }
 
-    /// The current delta-repair tuning knobs.
-    pub fn delta_config(&self) -> DeltaConfig {
-        self.cache.config
-    }
-
     /// The infeasible candidate closest to fitting under the last
     /// snapshot: its most-overshooting resource and the `req/avail`
     /// overshoot ratio (> 1). `None` when every candidate fits (or none

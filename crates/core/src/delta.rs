@@ -96,12 +96,6 @@ pub enum RepairOutcome {
 }
 
 impl RepairOutcome {
-    /// `true` when the delta path repaired (or outright reused) the
-    /// previous state.
-    pub fn is_repair(&self) -> bool {
-        matches!(self, RepairOutcome::Repaired(_))
-    }
-
     /// `true` when the delta path fell back to a full rebuild.
     pub fn is_full(&self) -> bool {
         matches!(self, RepairOutcome::Full(_))

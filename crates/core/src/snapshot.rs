@@ -1,7 +1,6 @@
 //! Epoch-stamped availability snapshots for batched admission.
 
 use crate::availability::AvailabilityView;
-use crate::delta::AvailabilityDelta;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-global snapshot generation counter. Epoch numbers restart at
@@ -57,12 +56,6 @@ impl EpochSnapshot {
         self.generation
     }
 
-    /// The quantized [`AvailabilityDelta`] from `prev`'s view to this
-    /// snapshot's view (see [`crate::DeltaConfig::psi_threshold`]).
-    pub fn delta_from(&self, prev: &EpochSnapshot, threshold: f64) -> AvailabilityDelta {
-        AvailabilityDelta::between(&prev.view, &self.view, threshold)
-    }
-
     /// Simulation/wall time the snapshot was collected at.
     pub fn taken_at(&self) -> f64 {
         self.taken_at
@@ -78,11 +71,6 @@ impl EpochSnapshot {
     /// debit as plans from this round commit.
     pub fn working(&self) -> AvailabilityView {
         self.view.clone()
-    }
-
-    /// Consumes the snapshot, yielding the underlying view.
-    pub fn into_view(self) -> AvailabilityView {
-        self.view
     }
 }
 

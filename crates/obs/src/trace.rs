@@ -30,7 +30,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use serde::{find_field, DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::event::{EventKind, TraceEvent};
 use crate::flight::FlightRecorder;
@@ -111,7 +111,7 @@ impl SpanKind {
 
 /// One node of a request's causal span tree: a measured slice of the
 /// admission pipeline, with the annotations that explain it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanRecord {
     /// Which pipeline slice this span measures.
     pub kind: SpanKind,
@@ -120,16 +120,22 @@ pub struct SpanRecord {
     /// Measured wall-clock duration in nanoseconds.
     pub duration_ns: u64,
     /// The contention index Ψ the slice produced (plan/replan spans).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub psi: Option<f64>,
     /// The planning algorithm used (plan/replan spans).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub planner: Option<String>,
     /// The contended resource id (replan spans after a commit conflict).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub resource: Option<u64>,
     /// Attempt ordinal (replan/retry spans; first replan is 1).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub attempt: Option<u32>,
     /// Free-form context.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub detail: Option<String>,
     /// Child spans nested inside this one.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub children: Vec<SpanRecord>,
 }
 
@@ -196,86 +202,42 @@ impl SpanRecord {
     }
 }
 
-impl Serialize for SpanRecord {
-    fn to_value(&self) -> Value {
-        let mut fields: Vec<(String, Value)> = Vec::with_capacity(4);
-        fields.push(("kind".into(), self.kind.to_value()));
-        fields.push(("start_ns".into(), Value::UInt(self.start_ns)));
-        fields.push(("duration_ns".into(), Value::UInt(self.duration_ns)));
-        if let Some(psi) = self.psi {
-            fields.push(("psi".into(), Value::Float(psi)));
-        }
-        if let Some(planner) = &self.planner {
-            fields.push(("planner".into(), Value::Str(planner.clone())));
-        }
-        if let Some(resource) = self.resource {
-            fields.push(("resource".into(), Value::UInt(resource)));
-        }
-        if let Some(attempt) = self.attempt {
-            fields.push(("attempt".into(), Value::UInt(u64::from(attempt))));
-        }
-        if let Some(detail) = &self.detail {
-            fields.push(("detail".into(), Value::Str(detail.clone())));
-        }
-        if !self.children.is_empty() {
-            fields.push((
-                "children".into(),
-                Value::Array(self.children.iter().map(Serialize::to_value).collect()),
-            ));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for SpanRecord {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let fields = v
-            .as_object()
-            .ok_or_else(|| DeError::custom("expected object for `SpanRecord`"))?;
-        let children = match find_field(fields, "children") {
-            Some(v) => Vec::<SpanRecord>::from_value(v).map_err(|e| e.in_field("children"))?,
-            None => Vec::new(),
-        };
-        Ok(SpanRecord {
-            kind: required(fields, "kind")?,
-            start_ns: required(fields, "start_ns")?,
-            duration_ns: required(fields, "duration_ns")?,
-            psi: optional(fields, "psi")?,
-            planner: optional(fields, "planner")?,
-            resource: optional(fields, "resource")?,
-            attempt: optional(fields, "attempt")?,
-            detail: optional(fields, "detail")?,
-            children,
-        })
-    }
-}
-
 /// The completed causal trace of one admission request: identity,
 /// outcome, end-to-end latency, and the span tree that attributes it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RequestTrace {
     /// The ingress-minted trace id.
     pub trace: u64,
     /// The service spec's name.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub service: Option<String>,
     /// `"committed"`, `"degraded"` or `"rejected"` (the same vocabulary
     /// the wire outcome frames use).
     pub outcome: String,
     /// The session id at the brokers, when admitted.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub session: Option<u64>,
     /// The committed end-to-end QoS rank, when admitted.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub rank: Option<u32>,
     /// The committed bottleneck contention index Ψ, when admitted.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub psi: Option<f64>,
     /// Same-round commit conflicts this request hit.
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub conflicts: u32,
     /// Retries / replan attempts spent.
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub retries: u32,
     /// End-to-end wall-clock nanoseconds from ingress to outcome.
     pub total_ns: u64,
     /// Root spans in causal order. Their durations sum exactly to
     /// [`RequestTrace::total_ns`] (the queue span absorbs the residual).
     pub spans: Vec<SpanRecord>,
+}
+
+fn is_zero(count: &u32) -> bool {
+    *count == 0
 }
 
 /// Outcome label for admitted-as-planned requests.
@@ -305,72 +267,6 @@ impl RequestTrace {
     /// Decodes a [`RequestTrace::to_jsonl`] line.
     pub fn from_jsonl(line: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(line)
-    }
-}
-
-impl Serialize for RequestTrace {
-    fn to_value(&self) -> Value {
-        let mut fields: Vec<(String, Value)> = Vec::with_capacity(8);
-        fields.push(("trace".into(), Value::UInt(self.trace)));
-        if let Some(service) = &self.service {
-            fields.push(("service".into(), Value::Str(service.clone())));
-        }
-        fields.push(("outcome".into(), Value::Str(self.outcome.clone())));
-        if let Some(session) = self.session {
-            fields.push(("session".into(), Value::UInt(session)));
-        }
-        if let Some(rank) = self.rank {
-            fields.push(("rank".into(), Value::UInt(u64::from(rank))));
-        }
-        if let Some(psi) = self.psi {
-            fields.push(("psi".into(), Value::Float(psi)));
-        }
-        if self.conflicts != 0 {
-            fields.push(("conflicts".into(), Value::UInt(u64::from(self.conflicts))));
-        }
-        if self.retries != 0 {
-            fields.push(("retries".into(), Value::UInt(u64::from(self.retries))));
-        }
-        fields.push(("total_ns".into(), Value::UInt(self.total_ns)));
-        fields.push((
-            "spans".into(),
-            Value::Array(self.spans.iter().map(Serialize::to_value).collect()),
-        ));
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for RequestTrace {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let fields = v
-            .as_object()
-            .ok_or_else(|| DeError::custom("expected object for `RequestTrace`"))?;
-        Ok(RequestTrace {
-            trace: required(fields, "trace")?,
-            service: optional(fields, "service")?,
-            outcome: required(fields, "outcome")?,
-            session: optional(fields, "session")?,
-            rank: optional(fields, "rank")?,
-            psi: optional(fields, "psi")?,
-            conflicts: optional(fields, "conflicts")?.unwrap_or(0),
-            retries: optional(fields, "retries")?.unwrap_or(0),
-            total_ns: required(fields, "total_ns")?,
-            spans: required(fields, "spans")?,
-        })
-    }
-}
-
-fn required<T: Deserialize>(fields: &[(String, Value)], name: &str) -> Result<T, DeError> {
-    match find_field(fields, name) {
-        Some(v) => T::from_value(v).map_err(|e| e.in_field(name)),
-        None => Err(DeError::custom(format!("missing field `{name}`"))),
-    }
-}
-
-fn optional<T: Deserialize>(fields: &[(String, Value)], name: &str) -> Result<Option<T>, DeError> {
-    match find_field(fields, name) {
-        Some(Value::Null) | None => Ok(None),
-        Some(v) => T::from_value(v).map(Some).map_err(|e| e.in_field(name)),
     }
 }
 

@@ -47,7 +47,7 @@
 
 use crate::fault::{FaultPlan, HostCrash};
 use crate::scenario::{BatchArrivals, PlannerKind, PsiKind, ScenarioConfig, TopologyKind};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -61,7 +61,8 @@ pub const DEFAULT_POLL: f64 = 5.0;
 /// `{"at": 600.0}`, `{"every": {"period": 300.0}}`,
 /// `{"utilization_above": {"threshold": 0.7}}`,
 /// `{"sessions_above": {"count": 150}}`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum Trigger {
     /// Fire once at an absolute simulated time (TU).
     At(f64),
@@ -114,9 +115,10 @@ impl Trigger {
 ///
 /// JSON encoding mirrors [`Trigger`]: a single-key object naming the
 /// event kind, e.g. `{"flash_crowd": {"sessions": 120, "over": 30.0}}`;
-/// the payload-free `shift_weights` may also be written as the bare
-/// string `"shift_weights"`.
-#[derive(Debug, Clone, PartialEq)]
+/// the payload-free `shift_weights` is `{"shift_weights": {}}` and may
+/// also be written as the bare string `"shift_weights"`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum EventSpec {
     /// Inject `sessions` extra arrivals, evenly spread over the next
     /// `over` TU — a flash crowd on top of the Poisson process.
@@ -253,388 +255,6 @@ impl Rule {
             format!("rule{index}")
         } else {
             self.name.clone()
-        }
-    }
-}
-
-// ─── Hand-written serde for the tagged enums ──────────────────────────
-//
-// The vendored serde derive covers named structs and unit enums only, so
-// `Trigger` / `EventSpec` (single-key externally tagged objects) map to
-// and from the `Value` tree by hand, with small derived helper structs
-// carrying each variant's payload.
-
-#[derive(Serialize, Deserialize)]
-struct EveryDef {
-    period: f64,
-    #[serde(default)]
-    start: Option<f64>,
-    #[serde(default)]
-    until: Option<f64>,
-}
-
-#[derive(Serialize, Deserialize)]
-struct UtilizationAboveDef {
-    threshold: f64,
-    #[serde(default)]
-    resource: Option<String>,
-    #[serde(default)]
-    poll: Option<f64>,
-}
-
-#[derive(Serialize, Deserialize)]
-struct SessionsAboveDef {
-    count: u64,
-    #[serde(default)]
-    poll: Option<f64>,
-}
-
-#[derive(Serialize, Deserialize)]
-struct FlashCrowdDef {
-    sessions: u32,
-    over: f64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct CrashHostDef {
-    host: usize,
-    #[serde(default)]
-    down_for: Option<f64>,
-}
-
-#[derive(Serialize, Deserialize)]
-struct RecoverHostDef {
-    host: usize,
-}
-
-#[derive(Serialize, Deserialize)]
-struct ResizeCapacityDef {
-    factor: f64,
-    #[serde(default)]
-    resource: Option<String>,
-}
-
-#[derive(Serialize, Deserialize)]
-struct QosShiftDef {
-    demand_scale: f64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct SetRateDef {
-    per_60tu: f64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct ScaleRateDef {
-    factor: f64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct DiurnalDef {
-    period: f64,
-    amplitude: f64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct BulkTransferDef {
-    volume: f64,
-    within: f64,
-    #[serde(default)]
-    resource: Option<String>,
-    #[serde(default)]
-    min_rate: Option<f64>,
-    #[serde(default)]
-    max_rate: Option<f64>,
-}
-
-#[derive(Serialize, Deserialize)]
-struct HeavyTailDef {
-    alpha: f64,
-    #[serde(default)]
-    min: Option<f64>,
-    #[serde(default)]
-    cap: Option<f64>,
-}
-
-fn tagged(key: &str, body: Value) -> Value {
-    Value::Object(vec![(key.to_owned(), body)])
-}
-
-fn untag<'a>(v: &'a Value, what: &str, known: &str) -> Result<(&'a str, &'a Value), DeError> {
-    let fields = v
-        .as_object()
-        .ok_or_else(|| DeError::custom(format!("expected a {what} object, got {}", v.kind())))?;
-    if fields.len() != 1 {
-        return Err(DeError::custom(format!(
-            "a {what} must be a single-key object naming its kind (one of {known}), got {} keys",
-            fields.len()
-        )));
-    }
-    let (key, body) = &fields[0];
-    Ok((key.as_str(), body))
-}
-
-const TRIGGER_KINDS: &str = "at, every, utilization_above, sessions_above";
-const EVENT_KINDS: &str = "flash_crowd, crash_host, recover_host, resize_capacity, qos_shift, \
-                           set_rate, scale_rate, diurnal, heavy_tail, shift_weights, \
-                           bulk_transfer";
-
-impl Serialize for Trigger {
-    fn to_value(&self) -> Value {
-        match self {
-            Trigger::At(t) => tagged("at", t.to_value()),
-            Trigger::Every {
-                period,
-                start,
-                until,
-            } => tagged(
-                "every",
-                EveryDef {
-                    period: *period,
-                    start: *start,
-                    until: *until,
-                }
-                .to_value(),
-            ),
-            Trigger::UtilizationAbove {
-                threshold,
-                resource,
-                poll,
-            } => tagged(
-                "utilization_above",
-                UtilizationAboveDef {
-                    threshold: *threshold,
-                    resource: resource.clone(),
-                    poll: *poll,
-                }
-                .to_value(),
-            ),
-            Trigger::SessionsAbove { count, poll } => tagged(
-                "sessions_above",
-                SessionsAboveDef {
-                    count: *count,
-                    poll: *poll,
-                }
-                .to_value(),
-            ),
-        }
-    }
-}
-
-impl Deserialize for Trigger {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let (key, body) = untag(v, "trigger", TRIGGER_KINDS)?;
-        let in_key = |e: DeError| e.in_field(key);
-        match key {
-            "at" => Ok(Trigger::At(f64::from_value(body).map_err(in_key)?)),
-            "every" => {
-                let d = EveryDef::from_value(body).map_err(in_key)?;
-                Ok(Trigger::Every {
-                    period: d.period,
-                    start: d.start,
-                    until: d.until,
-                })
-            }
-            "utilization_above" => {
-                let d = UtilizationAboveDef::from_value(body).map_err(in_key)?;
-                Ok(Trigger::UtilizationAbove {
-                    threshold: d.threshold,
-                    resource: d.resource,
-                    poll: d.poll,
-                })
-            }
-            "sessions_above" => {
-                let d = SessionsAboveDef::from_value(body).map_err(in_key)?;
-                Ok(Trigger::SessionsAbove {
-                    count: d.count,
-                    poll: d.poll,
-                })
-            }
-            other => Err(DeError::custom(format!(
-                "unknown trigger `{other}` (expected one of {TRIGGER_KINDS})"
-            ))),
-        }
-    }
-}
-
-impl Serialize for EventSpec {
-    fn to_value(&self) -> Value {
-        match self {
-            EventSpec::FlashCrowd { sessions, over } => tagged(
-                "flash_crowd",
-                FlashCrowdDef {
-                    sessions: *sessions,
-                    over: *over,
-                }
-                .to_value(),
-            ),
-            EventSpec::CrashHost { host, down_for } => tagged(
-                "crash_host",
-                CrashHostDef {
-                    host: *host,
-                    down_for: *down_for,
-                }
-                .to_value(),
-            ),
-            EventSpec::RecoverHost { host } => {
-                tagged("recover_host", RecoverHostDef { host: *host }.to_value())
-            }
-            EventSpec::ResizeCapacity { factor, resource } => tagged(
-                "resize_capacity",
-                ResizeCapacityDef {
-                    factor: *factor,
-                    resource: resource.clone(),
-                }
-                .to_value(),
-            ),
-            EventSpec::QosShift { demand_scale } => tagged(
-                "qos_shift",
-                QosShiftDef {
-                    demand_scale: *demand_scale,
-                }
-                .to_value(),
-            ),
-            EventSpec::SetRate { per_60tu } => tagged(
-                "set_rate",
-                SetRateDef {
-                    per_60tu: *per_60tu,
-                }
-                .to_value(),
-            ),
-            EventSpec::ScaleRate { factor } => {
-                tagged("scale_rate", ScaleRateDef { factor: *factor }.to_value())
-            }
-            EventSpec::Diurnal { period, amplitude } => tagged(
-                "diurnal",
-                DiurnalDef {
-                    period: *period,
-                    amplitude: *amplitude,
-                }
-                .to_value(),
-            ),
-            EventSpec::HeavyTail { alpha, min, cap } => tagged(
-                "heavy_tail",
-                HeavyTailDef {
-                    alpha: *alpha,
-                    min: *min,
-                    cap: *cap,
-                }
-                .to_value(),
-            ),
-            EventSpec::ShiftWeights => Value::Str("shift_weights".to_owned()),
-            EventSpec::BulkTransfer {
-                volume,
-                within,
-                resource,
-                min_rate,
-                max_rate,
-            } => tagged(
-                "bulk_transfer",
-                BulkTransferDef {
-                    volume: *volume,
-                    within: *within,
-                    resource: resource.clone(),
-                    min_rate: *min_rate,
-                    max_rate: *max_rate,
-                }
-                .to_value(),
-            ),
-        }
-    }
-}
-
-impl Deserialize for EventSpec {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        // The payload-free event may be written as a bare string.
-        if let Some(s) = v.as_str() {
-            return match s {
-                "shift_weights" => Ok(EventSpec::ShiftWeights),
-                other => Err(DeError::custom(format!(
-                    "unknown event `{other}` (expected one of {EVENT_KINDS})"
-                ))),
-            };
-        }
-        let (key, body) = untag(v, "event", EVENT_KINDS)?;
-        let in_key = |e: DeError| e.in_field(key);
-        match key {
-            "flash_crowd" => {
-                let d = FlashCrowdDef::from_value(body).map_err(in_key)?;
-                Ok(EventSpec::FlashCrowd {
-                    sessions: d.sessions,
-                    over: d.over,
-                })
-            }
-            "crash_host" => {
-                let d = CrashHostDef::from_value(body).map_err(in_key)?;
-                Ok(EventSpec::CrashHost {
-                    host: d.host,
-                    down_for: d.down_for,
-                })
-            }
-            "recover_host" => {
-                let d = RecoverHostDef::from_value(body).map_err(in_key)?;
-                Ok(EventSpec::RecoverHost { host: d.host })
-            }
-            "resize_capacity" => {
-                let d = ResizeCapacityDef::from_value(body).map_err(in_key)?;
-                Ok(EventSpec::ResizeCapacity {
-                    factor: d.factor,
-                    resource: d.resource,
-                })
-            }
-            "qos_shift" => {
-                let d = QosShiftDef::from_value(body).map_err(in_key)?;
-                Ok(EventSpec::QosShift {
-                    demand_scale: d.demand_scale,
-                })
-            }
-            "set_rate" => {
-                let d = SetRateDef::from_value(body).map_err(in_key)?;
-                Ok(EventSpec::SetRate {
-                    per_60tu: d.per_60tu,
-                })
-            }
-            "scale_rate" => {
-                let d = ScaleRateDef::from_value(body).map_err(in_key)?;
-                Ok(EventSpec::ScaleRate { factor: d.factor })
-            }
-            "diurnal" => {
-                let d = DiurnalDef::from_value(body).map_err(in_key)?;
-                Ok(EventSpec::Diurnal {
-                    period: d.period,
-                    amplitude: d.amplitude,
-                })
-            }
-            "heavy_tail" => {
-                let d = HeavyTailDef::from_value(body).map_err(in_key)?;
-                Ok(EventSpec::HeavyTail {
-                    alpha: d.alpha,
-                    min: d.min,
-                    cap: d.cap,
-                })
-            }
-            "bulk_transfer" => {
-                let d = BulkTransferDef::from_value(body).map_err(in_key)?;
-                Ok(EventSpec::BulkTransfer {
-                    volume: d.volume,
-                    within: d.within,
-                    resource: d.resource,
-                    min_rate: d.min_rate,
-                    max_rate: d.max_rate,
-                })
-            }
-            "shift_weights" => {
-                // Tolerate `{"shift_weights": {}}` for symmetry.
-                match body.as_object() {
-                    Some([]) => Ok(EventSpec::ShiftWeights),
-                    _ => Err(DeError::custom(
-                        "`shift_weights` takes no payload (write it as a string or `{}`)",
-                    )),
-                }
-            }
-            other => Err(DeError::custom(format!(
-                "unknown event `{other}` (expected one of {EVENT_KINDS})"
-            ))),
         }
     }
 }
