@@ -12,7 +12,7 @@
 //! HTTP (via [`qosr_obs::serve`]) for the duration of the command.
 
 use crate::dto::ScenarioError;
-use qosr_obs::{serve, MetricsRegistry, MetricsServer, NullSink, Phase};
+use qosr_obs::{serve, MetricsRegistry, MetricsServer, NullSink, SpanKind};
 use qosr_sim::{run_scenario_instrumented, BatchArrivals, PlannerKind, ScenarioConfig};
 use std::fmt::Write;
 use std::sync::Arc;
@@ -124,8 +124,10 @@ pub fn top(opts: &LiveOptions, mut row: impl FnMut(&str)) -> Result<String, Scen
         let result =
             run_scenario_instrumented(&opts.config(rate), Arc::new(NullSink), Some(&registry));
         committed_total += result.metrics.overall.successes;
-        let timers = registry.timers().expect("registry has timers after a run");
-        let plan = timers.histogram(Phase::Plan);
+        let tracer = registry
+            .tracer()
+            .expect("registry has a tracer after a run");
+        let plan = tracer.span_histogram(SpanKind::Plan);
         let (p50, p99) = (
             plan.percentile(0.50).unwrap_or(0) as f64 / 1e3,
             plan.percentile(0.99).unwrap_or(0) as f64 / 1e3,

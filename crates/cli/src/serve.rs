@@ -505,7 +505,9 @@ pub fn start(opts: &ServeOptions) -> Result<Server, ScenarioError> {
     let mut world = ServerWorld::build(opts);
     // The server always traces: flight and attribution are on-demand
     // per request (an establish without a `trace` id pays one relaxed
-    // atomic load), so there is no flag to forget before an incident.
+    // atomic load and reads no clock), so there is no flag to forget
+    // before an incident. The registry's phase summaries come from the
+    // same tracer, so they cover traced establishes only.
     let tracer = Arc::new(qosr_obs::Tracer::new(opts.flight_capacity.max(1)));
     tracer.set_enabled(true);
     world.coordinator_mut().set_tracer(Arc::clone(&tracer));
@@ -514,7 +516,7 @@ pub fn start(opts: &ServeOptions) -> Result<Server, ScenarioError> {
     let counters = world.coordinator().counters_arc();
     let registry = Arc::new(MetricsRegistry::new());
     registry.attach_counters(Arc::clone(&counters));
-    registry.attach_timers(Arc::clone(world.coordinator().phase_timers()));
+    registry.attach_tracer(Arc::clone(&tracer));
     let metrics = match &opts.metrics_addr {
         None => None,
         Some(addr) => {

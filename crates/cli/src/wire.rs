@@ -1097,6 +1097,26 @@ mod tests {
     }
 
     #[test]
+    fn slo_frame_for_a_zero_target_roundtrips() {
+        let engine = qosr_obs::SloEngine::new(qosr_obs::SloTargets {
+            max_rejection_rate: 0.0,
+            ..qosr_obs::SloTargets::default()
+        });
+        engine.observe(qosr_obs::SloOutcome::Rejected, 1_000);
+        let (report, entered) = engine.evaluate();
+        assert!(
+            report.breached && entered,
+            "any rejection breaches a zero target"
+        );
+        assert!(report.rejection_burn.is_finite() && report.rejection_burn > 1.0);
+        let frame = ResponseFrame::Slo(SloFrame { id: 9, report });
+        let mut buf = Vec::new();
+        write_response_frame(&mut buf, &frame).unwrap();
+        let back = read_response_frame(&mut Cursor::new(buf)).unwrap().unwrap();
+        assert_eq!(back, frame);
+    }
+
+    #[test]
     fn advance_response_frames_roundtrip() {
         roundtrip_response(ResponseFrame::Advance(AdvanceOutcomeFrame {
             id: 1,

@@ -367,15 +367,6 @@ pub struct CountersSnapshot {
     pub psi_milli: HistogramSnapshot,
 }
 
-impl CountersSnapshot {
-    /// Fraction of skeleton lookups served from the memo, or `None`
-    /// before any lookup happened.
-    pub fn skeleton_hit_rate(&self) -> Option<f64> {
-        let total = self.skeleton_hits + self.skeleton_misses;
-        (total > 0).then(|| self.skeleton_hits as f64 / total as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,7 +421,6 @@ mod tests {
         assert_eq!(snap.psi_buckets[4], 1); // 0.4 falls in [0.4, 0.5)
         assert_eq!(snap.psi_milli.count, 1);
         assert_eq!(snap.psi_milli.max, 400); // milli-Ψ fixed point
-        assert_eq!(snap.skeleton_hit_rate(), Some(2.0 / 3.0));
     }
 
     #[test]

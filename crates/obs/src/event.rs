@@ -136,10 +136,6 @@ pub enum EventKind {
     /// `rejected`), `duration_ns` (end-to-end latency), and when
     /// admitted `session`, `level` (rank), `psi`; `service` when known.
     RequestOutcome,
-    /// One timed pipeline phase finished (span drop). Payload: `name`
-    /// (the phase: `collect`, `plan`, `commit`, `replan`, `rollback`),
-    /// `duration_ns` (measured wall-clock nanoseconds).
-    PhaseTiming,
     /// One sampled utilization observation from the simulator's
     /// sampling tick. Payload: `name` (the resource or broker label),
     /// `value` (utilization in `[0, 1]`, i.e. `1 - available/capacity`).
@@ -214,8 +210,9 @@ pub struct TraceEvent {
     /// Free-form context (error text, amounts, ranks given up).
     #[serde(default)]
     pub detail: Option<String>,
-    /// A measured wall-clock duration in nanoseconds
-    /// ([`EventKind::PhaseTiming`]).
+    /// A measured wall-clock duration in nanoseconds: a span's
+    /// ([`EventKind::RequestSpan`]) or a traced request's end-to-end
+    /// latency ([`EventKind::RequestOutcome`]).
     #[serde(default)]
     pub duration_ns: Option<u64>,
     /// A sampled measurement ([`EventKind::UtilizationSample`]).
@@ -370,11 +367,13 @@ mod tests {
 
     #[test]
     fn telemetry_fields_round_trip() {
-        let ev = TraceEvent::new(2.0, EventKind::PhaseTiming)
+        let ev = TraceEvent::new(2.0, EventKind::RequestSpan)
+            .with_trace(7)
             .with_name("plan")
             .with_duration_ns(12_345);
         let back: TraceEvent = serde_json::from_str(&serde_json::to_string(&ev).unwrap()).unwrap();
         assert_eq!(back.duration_ns, Some(12_345));
+        assert_eq!(back.trace, Some(7));
         let ev = TraceEvent::new(3.0, EventKind::UtilizationSample)
             .with_name("h0.cpu")
             .with_value(0.75);

@@ -26,18 +26,14 @@
 //!   fixed atomic buckets, lock-free record, shard merging, and
 //!   p50/p90/p99 that agree exactly between merged shards and a single
 //!   instance. All Ψ bucket math lives here too.
-//! * [`span`] — RAII [`Phase`] timing guards over the admission
-//!   pipeline (collect/plan/commit/replan/rollback), recording into
-//!   per-phase histograms behind one [`PhaseTimers`] enable flag;
-//!   zero-cost (one relaxed load) when disabled.
 //! * [`metrics`] — the live [`MetricsRegistry`]: attached counters and
-//!   timers plus ring-buffered utilization/queue gauges, rendered in
-//!   Prometheus text format and optionally served over a minimal
-//!   blocking HTTP responder ([`serve`]) for `--metrics-addr`.
+//!   request tracer plus ring-buffered utilization/queue gauges,
+//!   rendered in Prometheus text format and optionally served over a
+//!   minimal blocking HTTP responder ([`serve`]) for `--metrics-addr`.
 //! * [`replay`] — load a JSONL trace back and reduce it to a
 //!   [`TraceSummary`] whose success rate and mean QoS level reproduce
 //!   the run's `RunMetrics` exactly, or to per-session timelines — now
-//!   including the same phase-timing and utilization blocks the live
+//!   including the same request-span and utilization blocks the live
 //!   registry reports. The `qosr trace` / `qosr report` CLI subcommands
 //!   are thin wrappers over this module.
 //! * [`trace`] — request-scoped tracing: a [`TraceId`] minted at
@@ -45,7 +41,9 @@
 //!   and commit, producing a causal [`SpanRecord`] tree
 //!   ([`RequestTrace`]) that attributes the request's end-to-end
 //!   latency span by span, recorded by a [`Tracer`] that is zero-cost
-//!   (one relaxed load) when disabled.
+//!   (one relaxed load) when disabled. The tracer's per-span-kind
+//!   histograms are the only phase clock: the registry's
+//!   `qosr_phase_duration_seconds` summaries are rendered from them.
 //! * [`flight`] — the [`FlightRecorder`]: a fixed-size ring of recent
 //!   span trees, always on, dumped oldest-first as canonical JSONL on
 //!   demand (`qosr flight`) or automatically on SLO breaches.
@@ -70,7 +68,6 @@ pub mod metrics;
 pub mod replay;
 mod sink;
 pub mod slo;
-pub mod span;
 pub mod trace;
 
 pub use counters::{Counters, CountersSnapshot};
@@ -81,5 +78,4 @@ pub use metrics::{serve, GaugeSample, MetricsRegistry, MetricsServer};
 pub use replay::{read_jsonl, session_timelines, TraceSummary, UtilStat};
 pub use sink::{JsonlSink, MemorySink, NullSink, TraceSink};
 pub use slo::{SloEngine, SloOutcome, SloReport, SloTargets};
-pub use span::{Phase, PhaseTimers, Span};
 pub use trace::{RequestTrace, SpanKind, SpanRecord, TraceId, Tracer};

@@ -3,12 +3,13 @@
 //!
 //! [`MetricsRegistry`] is the aggregation point the live telemetry
 //! layer reports through: attach a coordinator's [`Counters`] and
-//! [`PhaseTimers`], feed utilization/queue gauges from the simulator's
-//! sampling tick, and [`MetricsRegistry::render`] produces standard
-//! Prometheus text format (version 0.0.4) with all four metric shapes —
-//! `counter`s for the monotonic event counts, a `histogram` for
-//! committed Ψ, `summary` quantiles for per-phase wall-clock timings,
-//! and `gauge`s for utilization and queue depth. The `qosr metrics`
+//! request [`Tracer`], feed utilization/queue gauges from the
+//! simulator's sampling tick, and [`MetricsRegistry::render`] produces
+//! standard Prometheus text format (version 0.0.4) with all four metric
+//! shapes — `counter`s for the monotonic event counts, a `histogram`
+//! for committed Ψ, `summary` quantiles for per-phase wall-clock
+//! timings (the tracer's span histograms, so they cover traced requests
+//! only), and `gauge`s for utilization and queue depth. The `qosr metrics`
 //! subcommand dumps one render; [`serve`] exposes the same payload over
 //! a blocking [`std::net::TcpListener`] responder for `--metrics-addr`.
 //!
@@ -26,7 +27,7 @@ use std::time::Duration;
 
 use crate::counters::Counters;
 use crate::hist::PSI_BUCKETS;
-use crate::span::{Phase, PhaseTimers};
+use crate::trace::{SpanKind, Tracer};
 
 /// Ring-buffer depth kept per gauge series.
 const RING_CAPACITY: usize = 256;
@@ -80,7 +81,7 @@ type LabelKey = Option<(String, String)>;
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: Mutex<Option<Arc<Counters>>>,
-    timers: Mutex<Option<Arc<PhaseTimers>>>,
+    tracer: Mutex<Option<Arc<Tracer>>>,
     gauges: Mutex<BTreeMap<String, BTreeMap<String, GaugeSeries>>>,
     labels: Mutex<BTreeMap<(String, String), LabelKey>>,
 }
@@ -97,16 +98,17 @@ impl MetricsRegistry {
         *self.counters.lock().expect("counters lock") = Some(counters);
     }
 
-    /// Attaches a coordinator's phase timers and **enables** them
-    /// (attaching a registry is the opt-in that turns measurement on).
-    pub fn attach_timers(&self, timers: Arc<PhaseTimers>) {
-        timers.set_enabled(true);
-        *self.timers.lock().expect("timers lock") = Some(timers);
+    /// Attaches a coordinator's request tracer, whose per-span-kind
+    /// histograms render as the phase-duration summaries. Attaching
+    /// does not enable the tracer: whoever mints trace ids decides
+    /// which requests are measured.
+    pub fn attach_tracer(&self, tracer: Arc<Tracer>) {
+        *self.tracer.lock().expect("tracer lock") = Some(tracer);
     }
 
-    /// The attached phase timers, if any.
-    pub fn timers(&self) -> Option<Arc<PhaseTimers>> {
-        self.timers.lock().expect("timers lock").clone()
+    /// The attached request tracer, if any.
+    pub fn tracer(&self) -> Option<Arc<Tracer>> {
+        self.tracer.lock().expect("tracer lock").clone()
     }
 
     /// The attached counters, if any.
@@ -334,15 +336,15 @@ impl MetricsRegistry {
             let _ = writeln!(out, "qosr_committed_psi_count {cumulative}");
         }
 
-        if let Some(timers) = self.timers() {
+        if let Some(tracer) = self.tracer() {
             let _ = writeln!(
                 out,
-                "# HELP qosr_phase_duration_seconds Wall-clock time per admission phase."
+                "# HELP qosr_phase_duration_seconds Wall-clock time per admission phase of traced requests."
             );
             let _ = writeln!(out, "# TYPE qosr_phase_duration_seconds summary");
-            for phase in Phase::ALL {
-                let hist = timers.histogram(phase);
-                let name = phase.name();
+            for kind in SpanKind::ALL {
+                let hist = tracer.span_histogram(kind);
+                let name = kind.name();
                 for (label, q) in [("0.5", 0.5), ("0.9", 0.9), ("0.99", 0.99)] {
                     if let Some(ns) = hist.percentile(q) {
                         let _ = writeln!(
@@ -508,10 +510,28 @@ mod tests {
         counters.record_plan_started();
         counters.record_commit(0.42);
         registry.attach_counters(Arc::clone(&counters));
-        let timers = Arc::new(PhaseTimers::new());
-        registry.attach_timers(Arc::clone(&timers));
-        assert!(timers.enabled(), "attaching the registry enables timers");
-        timers.record_ns(Phase::Plan, 1_500);
+        let tracer = Arc::new(Tracer::new(4));
+        registry.attach_tracer(Arc::clone(&tracer));
+        assert!(!tracer.enabled(), "attaching leaves the tracer as it was");
+        tracer.record(
+            crate::RequestTrace {
+                trace: 1,
+                service: None,
+                outcome: crate::trace::OUTCOME_COMMITTED.into(),
+                session: Some(1),
+                rank: Some(1),
+                psi: Some(0.42),
+                conflicts: 0,
+                retries: 0,
+                total_ns: 2_000,
+                spans: vec![
+                    crate::SpanRecord::new(SpanKind::Queue, 0, 500),
+                    crate::SpanRecord::new(SpanKind::Plan, 500, 1_500),
+                ],
+            },
+            &crate::NullSink,
+            1.0,
+        );
         registry.set_gauge("utilization", Some(("resource", "h0.cpu")), 1.0, 0.25);
         registry.set_gauge("queue_depth", None, 1.0, 3.0);
 
@@ -530,7 +550,9 @@ mod tests {
         assert!(text.contains("# TYPE qosr_phase_duration_seconds summary"));
         assert!(text.contains("qosr_phase_duration_seconds{phase=\"plan\",quantile=\"0.5\"}"));
         assert!(text.contains("qosr_phase_duration_seconds_count{phase=\"plan\"} 1"));
+        assert!(text.contains("qosr_phase_duration_seconds_count{phase=\"queue\"} 1"));
         assert!(text.contains("qosr_phase_duration_seconds_count{phase=\"collect\"} 0"));
+        assert!(!text.contains("phase=\"rollback\""));
         assert!(text.contains("# TYPE qosr_utilization gauge"));
         assert!(text.contains("qosr_utilization{resource=\"h0.cpu\"} 0.25"));
         assert!(text.contains("qosr_queue_depth 3"));

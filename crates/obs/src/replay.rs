@@ -131,12 +131,6 @@ pub struct TraceSummary {
     pub bottlenecks: BTreeMap<String, u64>,
     /// Histogram of committed bottleneck Ψ values.
     pub psi_hist: PsiHistogram,
-    /// Per-phase wall-clock nanosecond distributions rebuilt from
-    /// [`EventKind::PhaseTiming`] events, keyed by phase name — the
-    /// offline twin of the live
-    /// [`PhaseTimers`](crate::PhaseTimers) histograms, sharing the same
-    /// bucketing so counts and quantiles agree with the registry.
-    pub phase_timings: BTreeMap<String, Histogram>,
     /// Utilization aggregates per sampled resource/broker label, from
     /// [`EventKind::UtilizationSample`] events.
     pub utilization: BTreeMap<String, UtilStat>,
@@ -238,15 +232,6 @@ impl TraceSummary {
                         summary.relax_nodes_repaired += event.value.unwrap_or(0.0) as u64;
                     } else {
                         summary.delta_fallbacks += 1;
-                    }
-                }
-                EventKind::PhaseTiming => {
-                    if let (Some(name), Some(ns)) = (event.name.as_ref(), event.duration_ns) {
-                        summary
-                            .phase_timings
-                            .entry(name.clone())
-                            .or_default()
-                            .record(ns);
                     }
                 }
                 EventKind::UtilizationSample => {
@@ -459,20 +444,6 @@ impl TraceSummary {
                 }
             }
         }
-        if !self.phase_timings.is_empty() {
-            let _ = writeln!(out, "  phase timings (µs)     :");
-            for (name, hist) in &self.phase_timings {
-                let us = |q| hist.percentile(q).unwrap_or(0) as f64 / 1e3;
-                let _ = writeln!(
-                    out,
-                    "    {name:<10} n={:<7} p50={:<9.1} p99={:<9.1} max={:.1}",
-                    hist.count(),
-                    us(0.50),
-                    us(0.99),
-                    hist.max().unwrap_or(0) as f64 / 1e3,
-                );
-            }
-        }
         if !self.utilization.is_empty() {
             let _ = writeln!(out, "  utilization (mean/peak):");
             for (name, stat) in &self.utilization {
@@ -631,16 +602,24 @@ mod tests {
 
     #[test]
     fn telemetry_events_reduce_into_phase_and_utilization_blocks() {
+        let span = |trace, name, ns| {
+            TraceEvent::new(1.0, EventKind::RequestSpan)
+                .with_trace(trace)
+                .with_name(name)
+                .with_duration_ns(ns)
+        };
         let events = vec![
-            TraceEvent::new(1.0, EventKind::PhaseTiming)
-                .with_name("plan")
-                .with_duration_ns(1_500),
-            TraceEvent::new(1.0, EventKind::PhaseTiming)
-                .with_name("plan")
+            span(1, "plan", 1_500),
+            span(1, "commit", 900),
+            span(2, "plan", 2_500),
+            TraceEvent::new(1.0, EventKind::RequestOutcome)
+                .with_trace(1)
+                .with_name("committed")
+                .with_duration_ns(2_400),
+            TraceEvent::new(1.0, EventKind::RequestOutcome)
+                .with_trace(2)
+                .with_name("rejected")
                 .with_duration_ns(2_500),
-            TraceEvent::new(1.0, EventKind::PhaseTiming)
-                .with_name("commit")
-                .with_duration_ns(900),
             TraceEvent::new(2.0, EventKind::UtilizationSample)
                 .with_name("h0.cpu")
                 .with_value(0.25),
@@ -649,14 +628,16 @@ mod tests {
                 .with_value(0.75),
         ];
         let summary = TraceSummary::from_events(&events);
-        assert_eq!(summary.phase_timings["plan"].count(), 2);
-        assert_eq!(summary.phase_timings["commit"].count(), 1);
+        assert_eq!(summary.request_spans["plan"].count(), 2);
+        assert_eq!(summary.request_spans["commit"].count(), 1);
+        assert_eq!(summary.request_total.count(), 2);
         let util = &summary.utilization["h0.cpu"];
         assert_eq!(util.samples, 2);
         assert_eq!(util.mean(), Some(0.5));
         assert_eq!(util.peak, 0.75);
         let rendered = summary.render();
-        assert!(rendered.contains("phase timings (µs)"));
+        assert!(rendered.contains("request spans (µs)"));
+        assert!(!rendered.contains("phase timings"));
         assert!(rendered.contains("utilization (mean/peak)"));
         assert!(rendered.contains("h0.cpu"));
     }

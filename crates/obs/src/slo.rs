@@ -233,10 +233,14 @@ fn rate(part: u64, total: u64) -> f64 {
     }
 }
 
+/// `observed / target`. A zero target allows nothing, so any
+/// observation burns it at `f64::MAX`: over 1.0, so the target breaches,
+/// yet finite, so the report still travels as JSON (which has no
+/// infinity).
 fn burn(observed: f64, target: f64) -> f64 {
     if target <= 0.0 {
         if observed > 0.0 {
-            f64::INFINITY
+            f64::MAX
         } else {
             0.0
         }

@@ -1,8 +1,8 @@
 //! Request-scoped tracing: one causal span tree per admission request.
 //!
-//! The global telemetry ([`Counters`](crate::Counters), phase
-//! histograms) answers *that* p99 regressed; this module answers *which
-//! requests paid it and where*. A [`TraceId`] is minted at ingress (a
+//! The global telemetry ([`Counters`](crate::Counters), the registry's
+//! phase summaries) answers *that* p99 regressed; this module answers
+//! *which requests paid it and where*. A [`TraceId`] is minted at ingress (a
 //! wire frame's `trace` field, the CLI, the scenario engine, the load
 //! generator) and rides the request through every admission layer; the
 //! layers measure their work into [`SpanRecord`]s (queue-wait,
@@ -11,8 +11,11 @@
 //! [`Tracer`].
 //!
 //! The tracer is **zero-cost when disabled**: one relaxed atomic load
-//! per request, no clock reads, no allocation. When enabled it
-//! aggregates per-span-kind latency histograms, pushes the span tree
+//! per request, no clock reads, no allocation. An enabled tracer reads
+//! no clock for a request without a trace id either. For traced
+//! requests it aggregates per-span-kind latency histograms (the ones
+//! [`MetricsRegistry`](crate::MetricsRegistry) renders as
+//! `qosr_phase_duration_seconds`), pushes the span tree
 //! into its [`FlightRecorder`] ring, and — when a
 //! [`TraceSink`] is live — emits one flat [`EventKind::RequestSpan`]
 //! event per span plus a closing [`EventKind::RequestOutcome`], in the
@@ -102,11 +105,6 @@ impl SpanKind {
     pub fn index(self) -> usize {
         self as usize
     }
-
-    /// Parses a [`SpanKind::name`] back (for replay aggregation).
-    pub fn from_name(name: &str) -> Option<SpanKind> {
-        SpanKind::ALL.into_iter().find(|k| k.name() == name)
-    }
 }
 
 /// One node of a request's causal span tree: a measured slice of the
@@ -189,16 +187,6 @@ impl SpanRecord {
     pub fn with_child(mut self, child: SpanRecord) -> Self {
         self.children.push(child);
         self
-    }
-
-    /// This span's duration plus every descendant's.
-    pub fn subtree_ns(&self) -> u64 {
-        self.duration_ns
-            + self
-                .children
-                .iter()
-                .map(SpanRecord::subtree_ns)
-                .sum::<u64>()
     }
 }
 
@@ -489,7 +477,6 @@ mod tests {
         let measured: u64 = trace.spans.iter().map(|s| s.duration_ns).sum();
         assert_eq!(measured, trace.total_ns);
         assert_eq!(trace.span_ns(SpanKind::Plan), 300);
-        assert_eq!(trace.spans[3].subtree_ns(), 450);
     }
 
     #[test]
@@ -544,9 +531,11 @@ mod tests {
     #[test]
     fn span_kind_names_round_trip() {
         for kind in SpanKind::ALL {
-            assert_eq!(SpanKind::from_name(kind.name()), Some(kind));
             assert_eq!(SpanKind::ALL[kind.index()], kind);
         }
-        assert_eq!(SpanKind::from_name("nope"), None);
+        // The labels double as the `phase` label of the registry's
+        // phase-duration summaries.
+        let names = SpanKind::ALL.map(SpanKind::name);
+        assert_eq!(names, ["queue", "collect", "plan", "replan", "commit"]);
     }
 }

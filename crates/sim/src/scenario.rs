@@ -337,9 +337,11 @@ pub fn run_scenario_traced(
 /// stream to `sink` (as in [`run_scenario_traced`]) and, when a
 /// [`qosr_obs::MetricsRegistry`] is given, the run additionally
 ///
-/// * attaches the coordinator's counters and **enables its phase
-///   timers**, so collect/plan/commit/replan/rollback wall-clock
-///   distributions accumulate live;
+/// * attaches the coordinator's counters and request tracer, and
+///   traces every request (as [`ScenarioConfig::trace_requests`]
+///   does), so the registry's queue/collect/plan/replan/commit
+///   wall-clock summaries cover every admission — and, with a live
+///   `sink`, each request's span tree streams there too;
 /// * feeds the registry's gauges from every sampling tick
 ///   ([`ScenarioConfig::sample_period`]): per-resource utilization
 ///   (`utilization{resource=...}`), per-host broker utilization
@@ -364,8 +366,9 @@ pub fn run_scenario_instrumented(
 /// When `tracer` is given it replaces the coordinator's private one, so
 /// span histograms, outcome counts, and the flight ring survive the run
 /// for inspection (`tracer.set_enabled(true)` is still implied by
-/// [`ScenarioConfig::trace_requests`]). Pass `None` to keep the
-/// coordinator's internal tracer, which dies with the run.
+/// [`ScenarioConfig::trace_requests`] or an attached `registry`). Pass
+/// `None` to keep the coordinator's internal tracer, which dies with
+/// the run.
 pub fn run_scenario_observed(
     config: &ScenarioConfig,
     sink: std::sync::Arc<dyn qosr_obs::TraceSink>,
@@ -401,7 +404,7 @@ pub fn run_scenario_observed(
     let env = env;
     if let Some(registry) = registry {
         registry.attach_counters(env.coordinator.counters_arc());
-        registry.attach_timers(std::sync::Arc::clone(env.coordinator.phase_timers()));
+        registry.attach_tracer(std::sync::Arc::clone(env.coordinator.tracer()));
     }
     if sink.enabled() {
         // Preamble: bind every resource id to its display name so a
@@ -556,8 +559,11 @@ pub fn run_scenario_observed(
     )> = Vec::new();
 
     // Request tracing: mint sequential ids at ingress so every span
-    // tree is attributable to one arrival, in arrival order.
-    if config.trace_requests {
+    // tree is attributable to one arrival, in arrival order. A registry
+    // renders its phase summaries from the span trees, so it implies
+    // tracing.
+    let trace_requests = config.trace_requests || registry.is_some();
+    if trace_requests {
         env.coordinator.tracer().set_enabled(true);
     }
     let mut next_trace: u64 = 0;
@@ -662,7 +668,7 @@ pub fn run_scenario_observed(
             let session = env
                 .session(request.service, request.domain, request.scale)
                 .expect("generated requests are always instantiable");
-            let trace_id = config.trace_requests.then(|| {
+            let trace_id = trace_requests.then(|| {
                 let id = qosr_obs::TraceId(next_trace);
                 next_trace += 1;
                 id

@@ -17,8 +17,8 @@
 //!   performance study (§5).
 //! * [`obs`] — zero-cost-when-disabled observability: session-lifecycle
 //!   trace events, sinks (`NullSink`, `JsonlSink`), counters, trace
-//!   replay/summaries, and the live telemetry layer — phase-timing
-//!   spans, HDR-style latency/Ψ histograms, utilization gauges, and a
+//!   replay/summaries, and the live telemetry layer — per-request span
+//!   trees, HDR-style latency/Ψ histograms, utilization gauges, and a
 //!   Prometheus-text metrics exposition (`MetricsRegistry`).
 //!
 //! See `examples/quickstart.rs` for a guided tour.
@@ -84,7 +84,7 @@ pub mod prelude {
     };
     pub use qosr_net::{NetNode, NetworkBroker, NetworkFabric, Topology};
     pub use qosr_obs::{
-        Counters, EventKind, Histogram, JsonlSink, MemorySink, MetricsRegistry, NullSink, Phase,
-        PhaseTimers, PsiHistogram, TraceEvent, TraceSink, TraceSummary,
+        Counters, EventKind, Histogram, JsonlSink, MemorySink, MetricsRegistry, NullSink,
+        PsiHistogram, TraceEvent, TraceSink, TraceSummary,
     };
 }

@@ -306,68 +306,70 @@ fn trace_summary_counts_upgrades_like_run_metrics() {
     assert_eq!(summary.committed, result.metrics.overall.successes);
 }
 
-#[test]
-fn live_registry_and_trace_replay_agree_on_phase_timings() {
-    let config = qosr::sim::ScenarioConfig {
-        seed: 9,
-        rate_per_60tu: 150.0,
-        horizon: 600.0,
-        sample_period: Some(30.0),
-        ..Default::default()
-    };
+/// Runs `config` with a registry, a memory sink and a caller-owned
+/// tracer, and checks the three views of its phases agree: every
+/// `qosr_phase_duration_seconds_count` in the exposition is the
+/// tracer's span count, the replayed JSONL trace reproduces the
+/// tracer's attribution, and the run's metrics are the plain run's.
+fn observed_run_agrees_with_itself(config: &qosr::sim::ScenarioConfig) -> MetricsRegistry {
     let sink = Arc::new(MemorySink::default());
     let registry = MetricsRegistry::new();
-    qosr::sim::run_scenario_instrumented(&config, sink.clone(), Some(&registry));
+    let tracer = Arc::new(qosr::obs::Tracer::new(64));
+    let result = qosr::sim::run_scenario_observed(
+        config,
+        sink.clone(),
+        Some(&registry),
+        Some(tracer.clone()),
+    );
+    assert!(result.metrics.overall.successes > 0, "the run must commit");
 
-    let summary = TraceSummary::from_events(&sink.events());
-    let timers = registry.timers().expect("timers attached");
-
-    // Every phase the live timers measured appears in the replayed
-    // trace with the exact same event count — one PhaseTiming event was
-    // emitted per measured span, nothing more, nothing less.
-    let mut measured = 0u64;
-    for phase in Phase::ALL {
-        let live = timers.histogram(phase).count();
-        let replayed = summary
-            .phase_timings
-            .get(phase.name())
-            .map_or(0, |h| h.count());
-        assert_eq!(live, replayed, "phase {}", phase.name());
-        measured += live;
+    let rendered = registry.render();
+    for kind in qosr::obs::SpanKind::ALL {
+        let line = format!(
+            "qosr_phase_duration_seconds_count{{phase=\"{}\"}} {}\n",
+            kind.name(),
+            tracer.span_histogram(kind).count()
+        );
+        assert!(rendered.contains(&line), "missing `{}`", line.trim_end());
     }
-    assert!(measured > 0, "the run must measure at least one span");
-    for phase in [Phase::Collect, Phase::Plan, Phase::Commit] {
+    for kind in [
+        qosr::obs::SpanKind::Collect,
+        qosr::obs::SpanKind::Plan,
+        qosr::obs::SpanKind::Commit,
+    ] {
         assert!(
-            timers.histogram(phase).count() > 0,
-            "{} must fire in a committed run",
-            phase.name()
+            tracer.span_histogram(kind).count() > 0,
+            "{} must be measured in a committed run",
+            kind.name()
         );
     }
+    // A registry traces every request.
+    assert_eq!(tracer.recorded(), result.metrics.overall.attempts);
 
-    // The replayed distributions carry real durations (nonzero sums)
-    // and the exposition renders the same counts.
-    let plan = summary.phase_timings.get("plan").expect("plan timings");
-    assert!(plan.sum() > 0);
-    let rendered = registry.render();
-    assert!(rendered.contains(&format!(
-        "qosr_phase_duration_seconds_count{{phase=\"plan\"}} {}",
-        timers.histogram(Phase::Plan).count()
-    )));
-
-    // Utilization samples flow into the replay too.
+    let summary = TraceSummary::from_events(&sink.events());
+    summary
+        .request_attribution_matches(&tracer)
+        .expect("replayed attribution must match the live tracer");
     assert!(!summary.utilization.is_empty(), "utilization block");
     for stat in summary.utilization.values() {
         assert!(stat.samples > 0);
         assert!(stat.peak >= 0.0);
     }
 
-    // Telemetry never perturbs the run: metrics match the plain run.
-    let untraced = qosr::sim::run_scenario(&config);
-    let instrumented = {
-        let registry = MetricsRegistry::new();
-        qosr::sim::run_scenario_instrumented(&config, Arc::new(NullSink), Some(&registry))
-    };
-    assert_eq!(untraced.metrics, instrumented.metrics);
+    // Telemetry never perturbs the run.
+    assert_eq!(qosr::sim::run_scenario(config).metrics, result.metrics);
+    registry
+}
+
+#[test]
+fn live_registry_and_trace_replay_agree_on_phase_spans() {
+    observed_run_agrees_with_itself(&qosr::sim::ScenarioConfig {
+        seed: 9,
+        rate_per_60tu: 150.0,
+        horizon: 600.0,
+        sample_period: Some(30.0),
+        ..Default::default()
+    });
 }
 
 /// The tentpole acceptance bar for request tracing: per-request latency
@@ -455,8 +457,8 @@ fn request_tracing_never_perturbs_the_run() {
 }
 
 #[test]
-fn batched_admission_phase_timings_replay_exactly() {
-    let config = qosr::sim::ScenarioConfig {
+fn batched_admission_phase_spans_replay_exactly() {
+    let registry = observed_run_agrees_with_itself(&qosr::sim::ScenarioConfig {
         seed: 5,
         rate_per_60tu: 180.0,
         horizon: 600.0,
@@ -466,25 +468,7 @@ fn batched_admission_phase_timings_replay_exactly() {
             max_replans: 2,
         }),
         ..Default::default()
-    };
-    let sink = Arc::new(MemorySink::default());
-    let registry = MetricsRegistry::new();
-    let result = qosr::sim::run_scenario_instrumented(&config, sink.clone(), Some(&registry));
-    assert!(result.metrics.overall.successes > 0);
-
-    let summary = TraceSummary::from_events(&sink.events());
-    let timers = registry.timers().expect("timers attached");
-    for phase in Phase::ALL {
-        let live = timers.histogram(phase).count();
-        let replayed = summary
-            .phase_timings
-            .get(phase.name())
-            .map_or(0, |h| h.count());
-        assert_eq!(live, replayed, "phase {}", phase.name());
-    }
-    // Batched planning must still time every planned request.
-    assert!(timers.histogram(Phase::Plan).count() > 0);
-
+    });
     // The queue-depth gauges were sampled during the run.
     assert!(registry.gauge("admission_in_flight", None).is_some());
     assert!(registry.gauge("admission_last_batch", None).is_some());
