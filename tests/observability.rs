@@ -622,3 +622,36 @@ fn sequential_establish_traces_are_pinned() {
         assert_eq!(digest.as_pin(), pin, "{mode:?}");
     }
 }
+
+/// Two identical runs in one process render byte-identical telemetry,
+/// every sample at full precision (the wall-clock phase family aside):
+/// the per-host utilization gauge sums its brokers in the registry's
+/// iteration order, so that order must be a function of the run.
+#[test]
+fn identical_runs_render_identical_telemetry() {
+    let config = qosr::sim::ScenarioConfig {
+        seed: 21,
+        rate_per_60tu: 150.0,
+        horizon: 600.0,
+        sample_period: Some(30.0),
+        ..Default::default()
+    };
+    let render = || {
+        let registry = MetricsRegistry::new();
+        qosr::sim::run_scenario_instrumented(&config, Arc::new(NullSink), Some(&registry));
+        registry
+            .render()
+            .lines()
+            .filter(|line| !line.contains("qosr_phase_duration_seconds"))
+            .map(|line| format!("{line}\n"))
+            .collect::<String>()
+    };
+    let (first, second) = (render(), render());
+    assert!(first.contains("qosr_host_utilization{host="), "{first}");
+    let differ: Vec<_> = first
+        .lines()
+        .zip(second.lines())
+        .filter(|(a, b)| a != b)
+        .collect();
+    assert!(first == second, "lines that differ: {differ:#?}");
+}
