@@ -98,9 +98,10 @@ impl SessionRequest {
     /// ingress instant: the coordinator (or batched admission queue)
     /// will assemble a causal [`qosr_obs::RequestTrace`] attributing the
     /// request's end-to-end latency span by span, provided the
-    /// coordinator's [`qosr_obs::Tracer`] is enabled. Call at the true
-    /// ingress (wire read, scenario arrival) so queue wait is charged
-    /// from the moment the request existed.
+    /// coordinator's [`qosr_obs::Tracer`] is enabled. Queue wait is
+    /// charged from this call on; `qosr serve` makes it when a round
+    /// resolves its frames, after the socket read and the gather window
+    /// (see [`qosr_obs::SpanKind::Queue`]).
     pub fn traced(mut self, id: TraceId) -> Self {
         self.trace = Some(TraceCtx {
             id,
@@ -303,9 +304,10 @@ impl SpanCollector {
     }
 
     /// Assembles the final trace. The end-to-end total runs from ingress
-    /// to *now*; the unmeasured residual (socket read, gather-window
-    /// wait, scheduling) becomes a leading [`SpanKind::Queue`] span, so
-    /// the root spans' durations sum *exactly* to `total_ns`.
+    /// to *now*; the unmeasured residual (whatever the caller did
+    /// between its ingress stamp and the phases, scheduling, waiting on
+    /// other requests of a round) becomes a leading [`SpanKind::Queue`]
+    /// span, so the root spans' durations sum *exactly* to `total_ns`.
     pub(crate) fn finish(self, outcome: &EstablishOutcome, service: &str) -> RequestTrace {
         let (label, session, rank, psi) = match outcome {
             EstablishOutcome::Committed(est) => (

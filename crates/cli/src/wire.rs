@@ -775,9 +775,13 @@ pub struct OutcomeFrame {
     /// remaining `*_ns` attribution fields ride along with it).
     #[serde(skip_serializing_if = "Option::is_none")]
     pub trace: Option<u64>,
-    /// Server-side queue residual: socket read, gather-window wait,
-    /// scheduling — everything before the admission round touched the
-    /// request.
+    /// Server-side queue residual: the part of `total_ns` no phase span
+    /// measured. The server stamps ingress when its admission thread
+    /// resolves the frame at the start of a round, after the socket
+    /// read and the gather window, so this is template resolution,
+    /// round scheduling and the wait while the round's other requests
+    /// are planned and committed; the socket read and the gather-window
+    /// wait are in neither this nor `total_ns`.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub queue_ns: Option<u64>,
     /// Phase-1 availability collection time.
